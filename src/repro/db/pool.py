@@ -13,7 +13,7 @@ the quantity decided by *who* holds connections and for how long.
 Raw ``acquire``/``release`` is deliberately low-level (a missed or
 doubled release corrupts the scarce resource the whole study is
 about); server code goes through :mod:`repro.server.resources`, and
-``tools/check_acquire_sites.py`` enforces that in CI.
+``tools/check_sites.py acquire`` enforces that in CI.
 """
 
 from __future__ import annotations

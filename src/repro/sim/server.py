@@ -44,9 +44,6 @@ class _SimServerBase:
         #: meter held vs. query-busy time so the sim reports the same
         #: connection busy fraction the live servers export.
         self.connections = SimConnectionPool(sim, connection_count)
-        #: Render demands were calibrated against the interpreting
-        #: template engine; the knob models the compiled render path.
-        self._render_scale = 1.0 / config.render_speedup
         #: Fault-injection mirror; installed by :meth:`configure_faults`.
         self.fault_harness: Optional[SimFaultHarness] = None
 
@@ -60,9 +57,6 @@ class _SimServerBase:
         """
         self.fault_harness = SimFaultHarness(self.sim, plan, resilience)
         return self.fault_harness
-
-    def _render_demand(self, profile: PageProfile, jitter: float) -> float:
-        return profile.render_demand * jitter * self._render_scale
 
     # ------------------------------------------------------------------
     def _db_phase(self, profile: PageProfile, jitter: float, lease=None,
@@ -157,8 +151,7 @@ class SimBaselineServer(_SimServerBase):
                     if profile.render_demand > 0:
                         if harness is not None:
                             yield from harness.render_gate(page, "worker")
-                        yield self.web.serve(
-                            self._render_demand(profile, jitter))
+                        yield self.web.serve(profile.render_demand * jitter)
                 finally:
                     lease.release()
             finally:
@@ -302,8 +295,7 @@ class SimStagedServer(_SimServerBase):
                         # thread renders.
                         if harness is not None:
                             yield from harness.render_gate(page, tag)
-                        yield self.web.serve(
-                            self._render_demand(profile, jitter))
+                        yield self.web.serve(profile.render_demand * jitter)
                 finally:
                     lease.release()
             finally:
@@ -321,8 +313,7 @@ class SimStagedServer(_SimServerBase):
                     if profile.render_demand > 0:
                         if harness is not None:
                             yield from harness.render_gate(page, "render")
-                        yield self.web.serve(
-                            self._render_demand(profile, jitter))
+                        yield self.web.serve(profile.render_demand * jitter)
                 finally:
                     self.render_pool.release()
         except SimRequestFailed:
@@ -429,7 +420,7 @@ class SimSJFServer(_SimServerBase):
                 self.sim.now, profile.path, generation_seconds
             )
             if profile.render_demand > 0:
-                yield self.web.serve(self._render_demand(profile, jitter))
+                yield self.web.serve(profile.render_demand * jitter)
         finally:
             lease.release()
             self.workers.release()

@@ -11,8 +11,9 @@ any Django template of the era would use):
 - Comments: ``{# ... #}`` and ``{% comment %} ... {% endcomment %}``.
 - HTML autoescaping with a ``safe`` filter opt-out.
 
-Templates compile to a node tree once and are cached by the
-:class:`TemplateEngine` loader; rendering walks the tree with a
+Templates are parsed to a node tree and compiled to one Python render
+function once (:mod:`repro.templates.compiler`), then cached by the
+:class:`TemplateEngine` loader; rendering calls that function with a
 :class:`Context`.  Rendering is a pure function of (template, data),
 which is exactly the property the paper's staged design exploits: a
 handler can return ``("name.html", data)`` and any template-rendering

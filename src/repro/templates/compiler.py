@@ -1,7 +1,8 @@
 """Compile a parsed template node tree to one Python render function.
 
-The interpreter in :mod:`repro.templates.nodes` walks a node tree per
-request.  This module lowers that tree once, at template-load time,
+Every :class:`~repro.templates.engine.Template` renders through the
+function this module builds: the node tree from
+:mod:`repro.templates.parser` is lowered once, at template-load time,
 into a single generated Python function built with ``compile()`` /
 ``exec`` — the cached-loader approach Jinja2 and Django use — so the
 render stage (the pool the paper separates out) runs native code:
@@ -13,21 +14,20 @@ render stage (the pool the paper separates out) runs native code:
   dict, ``{% if %}`` native branches, ``{% with %}`` direct bindings;
 - ``{% include %}``/``{% extends %}`` become calls into the target
   template's own compiled function (``Template.render_into``), with
-  block overrides carried as :class:`~repro.templates.nodes.
-  BlockOverride` objects so compiled and interpreted templates
-  interleave freely in one inheritance chain.
+  each overridden block carried in ``__blocks__`` as its compiled
+  block function.
 
-Equivalence is the contract: compiled output is byte-identical to the
-interpreter for every construct, including autoescaping, filter
-chains, ``forloop`` metadata, and error messages (enforced by
-``tests/templates/test_compiler_equivalence.py``).  Any node the
-compiler cannot lower raises :class:`CompileUnsupported` and the
-engine silently falls back to the interpreter for that template.
+The semantics are pinned by a reference node-walk interpreter kept in
+the test suite: output is byte-identical to it for every construct,
+including autoescaping, filter chains, ``forloop`` metadata, and error
+messages (``tests/templates/test_compiler_equivalence.py``).  A tree
+the compiler cannot lower raises :class:`CompileUnsupported` at load
+time.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List
 
 from repro.templates.context import MISSING, _step
 from repro.templates.errors import TemplateNotFoundError, TemplateRenderError
@@ -35,7 +35,6 @@ from repro.templates.filters import SafeString, escape_html
 from repro.templates.fragcache import render_fragment
 from repro.templates.nodes import (
     BlockNode,
-    BlockOverride,
     CacheNode,
     ExtendsNode,
     FilterExpression,
@@ -51,7 +50,8 @@ from repro.templates.nodes import (
 
 
 class CompileUnsupported(Exception):
-    """Raised internally for constructs the compiler cannot lower."""
+    """Raised at template-load time for a construct the compiler cannot
+    lower."""
 
 
 #: Names every generated function can rely on.  Everything else the
@@ -64,26 +64,17 @@ _BASE_NAMESPACE = {
     "_step": _step,
     "_TemplateRenderError": TemplateRenderError,
     "_ForLoop": ForLoopInfo,
-    "_Override": BlockOverride,
     "_render_fragment": render_fragment,
 }
 
 
-def compile_template(template, engine, strict: bool = False):
+def compile_template(template):
     """Compile ``template.nodes``; returns ``fn(context, parts)``.
 
-    Returns ``None`` when the tree contains something the compiler
-    cannot lower (the engine then renders interpretively).  With
-    ``strict=True`` compilation errors propagate instead — used by the
-    equivalence tests so codegen bugs surface as failures, never as
-    silent slow paths.
+    The function carries ``generated_source`` and ``dependencies``
+    (the names of templates inlined into it).
     """
-    try:
-        return _Compiler(template.name).compile(template.nodes)
-    except Exception:
-        if strict:
-            raise
-        return None
+    return _Compiler(template.name).compile(template.nodes)
 
 
 class _Writer:
@@ -108,22 +99,22 @@ class _Compiler:
         self.template_name = template_name
         self.namespace: Dict[str, Any] = dict(_BASE_NAMESPACE)
         self.functions: List[str] = []
-        #: const name -> {block name: (nodes, function name)}; resolved
-        #: into BlockOverride dicts after exec, when the compiled block
-        #: functions exist as objects.
-        self._pending_blocks: Dict[str, Dict[str, Tuple[List[Node], str]]] = {}
+        #: const name -> {block name: function name}; resolved into
+        #: {block name: block function} dicts after exec, when the
+        #: compiled block functions exist as objects.
+        self._pending_blocks: Dict[str, Dict[str, str]] = {}
         self._counter = 0
         #: Static scope: template variable name -> Python local temp.
         #: ``{% for %}``/``{% with %}`` bindings in the current function
         #: live in real locals (mirrored into the context scope dict so
-        #: includes, conditions, and interpreted overrides still see
-        #: them); reads through this map skip the scope-stack scan.
+        #: includes, conditions, and block overrides still see them);
+        #: reads through this map skip the scope-stack scan.
         self._locals: Dict[str, str] = {}
         #: Template names whose bodies were inlined at compile time
         #: ({% include %} with a literal name).  The engine drops this
         #: template from its cache when any of them changes, so
-        #: inlining stays observationally equivalent to the render-time
-        #: lookup the interpreter does.
+        #: inlining stays observationally equivalent to a render-time
+        #: lookup.
         self.dependencies: set = set()
         self._inline_stack: List[str] = []
 
@@ -136,8 +127,8 @@ class _Compiler:
         exec(code, self.namespace)
         for const_name, blocks in self._pending_blocks.items():
             self.namespace[const_name] = {
-                name: BlockOverride(body_nodes, self.namespace[fn_name])
-                for name, (body_nodes, fn_name) in blocks.items()
+                name: self.namespace[fn_name]
+                for name, fn_name in blocks.items()
             }
         fn = self.namespace[main]
         fn.generated_source = source
@@ -297,19 +288,18 @@ class _Compiler:
         """Lower ``expr.resolve(context, default=<default_code>)``;
         returns the temp holding the value."""
         base = expr._base
-        kind = getattr(base, "operand_kind", None)
-        if kind == "literal":
+        # Every operand is a literal or a dotted variable
+        # (nodes._compile_operand).
+        if base.operand_kind == "literal":
             value = self._name("_v")
             w(f"{value} = {self._literal(base.operand_value)}")
-        elif kind == "variable":
+        else:
             value = self._emit_lookup(w, base.operand_name)
             w(f"if {value} is _MISSING:")
             if expr._filters:
                 w(f"    {value} = None")
             else:
                 w(f"    {value} = {default_code}")
-        else:
-            raise CompileUnsupported(f"opaque operand in {expr.expression!r}")
 
         for name, func, arg in expr._filters:
             arg_code = self._emit_filter_arg(w, expr, arg)
@@ -327,21 +317,18 @@ class _Compiler:
                          arg) -> str:
         if arg is None:
             return "None"
-        kind = getattr(arg, "operand_kind", None)
-        if kind == "literal":
-            # The interpreter stringifies non-str arguments at each
-            # call; for literals that folds to a compile-time constant.
+        if arg.operand_kind == "literal":
+            # Filter arguments reach the filter stringified; for
+            # literals that folds to a compile-time constant.
             literal = arg.operand_value
             arg_str = literal if isinstance(literal, str) else str(literal)
             return self._literal(arg_str)
-        if kind == "variable":
-            name = self._emit_lookup(w, arg.operand_name)
-            w(f"if {name} is _MISSING:")
-            w(f"    {name} = None")
-            w(f"elif not isinstance({name}, str):")
-            w(f"    {name} = str({name})")
-            return name
-        raise CompileUnsupported(f"opaque filter arg in {expr.expression!r}")
+        name = self._emit_lookup(w, arg.operand_name)
+        w(f"if {name} is _MISSING:")
+        w(f"    {name} = None")
+        w(f"elif not isinstance({name}, str):")
+        w(f"    {name} = str({name})")
+        return name
 
     # ------------------------------------------------------------------
     # Node lowering
@@ -403,7 +390,7 @@ class _Compiler:
         w(f"{scope}['forloop'] = {loop_info}")
         bound = self._emit_loop_bind(w, node.loop_vars, scope, item)
         # A loop variable literally named "forloop" shadows the loop
-        # metadata, as it does in the interpreter's scope dict.
+        # metadata: it is written to the scope dict after it.
         bound.setdefault("forloop", loop_info)
         saved_locals = self._locals
         self._locals = {**saved_locals, **bound}
@@ -469,7 +456,7 @@ class _Compiler:
         self._locals = dict(saved_locals)
         try:
             for name, expression in node.bindings:
-                # Each binding sees the previous ones, as in WithNode.
+                # Each binding sees the previous ones.
                 value = self._emit_expression(w, expression, "None")
                 w(f"{scope}[{name!r}] = {value}")
                 self._locals[name] = value
@@ -481,8 +468,6 @@ class _Compiler:
         w("    context.pop()")
 
     def _emit_include(self, w: _Writer, node: IncludeNode) -> None:
-        if node.engine is None:
-            raise CompileUnsupported("{% include %} without an engine")
         if self._try_inline_include(w, node):
             return
         name = self._emit_expression(w, node.template_name, "None")
@@ -499,9 +484,9 @@ class _Compiler:
         """Inline the included template's body when its name is a
         literal, so the caller's static bindings (loop variables) apply
         to the included markup's lookups.  The included template still
-        renders against the shared context, exactly as IncludeNode
-        does; the engine invalidates this template when a dependency's
-        source changes (see ``TemplateEngine.add_source``).  Dynamic
+        renders against the shared context, exactly as a render-time
+        include does; the engine invalidates this template when a
+        dependency's source changes (see ``TemplateEngine.add_source``).  Dynamic
         names, unknown templates, and recursive chains keep the
         render-time lookup."""
         expr = node.template_name
@@ -530,25 +515,19 @@ class _Compiler:
     def _emit_block(self, w: _Writer, node: BlockNode) -> None:
         overrides = self._name("_ov")
         body = self._name("_b")
-        walker = self._name("_n")
         w(f"{overrides} = _get('__blocks__')")
         w(f"{body} = {overrides}.get({node.name!r}) if {overrides} else None")
         w(f"if {body} is None:")
         w.indent()
         self._emit_body(w, node.body)
         w.dedent()
-        w(f"elif isinstance({body}, _Override):")
-        w(f"    {body}.render_into(context, parts)")
         w("else:")
-        w(f"    for {walker} in {body}:")
-        w(f"        {walker}.render(context, parts)")
+        w(f"    {body}(context, parts)")
 
     def _emit_extends(self, w: _Writer, node: ExtendsNode) -> None:
-        if node.engine is None:
-            raise CompileUnsupported("{% extends %} without an engine")
         blocks_const = self._name("_B")
         self._pending_blocks[blocks_const] = {
-            name: (body_nodes, self._compile_function("_block", body_nodes))
+            name: self._compile_function("_block", body_nodes)
             for name, body_nodes in node.blocks.items()
         }
         name = self._emit_expression(w, node.parent_name, "None")
@@ -563,8 +542,8 @@ class _Compiler:
         w(f"if not {name}:")
         w(f"    raise _TemplateRenderError({message})")
         w(f"{parent} = {engine}.get_template(str({name}))")
-        # Merge: inner (child) overrides win over any already present,
-        # exactly as ExtendsNode.render does.
+        # Merge: inner (child) overrides win over any already present
+        # (grandchild beats child in a three-level chain).
         w(f"{existing} = _get('__blocks__') or {{}}")
         w(f"{merged} = dict({blocks_const})")
         w(f"{merged}.update({existing})")

@@ -190,12 +190,10 @@ def _matches_prefix(key: Hashable, prefix: Any) -> bool:
 def render_fragment(engine, context, parts: List[str],
                     body_fn: Callable[[Any, List[str]], None],
                     key_expr, timeout_expr, vary_exprs) -> None:
-    """Shared ``{% cache %}`` semantics for both render paths.
+    """The ``{% cache %}`` tag's runtime, called by compiled templates.
 
-    The interpreter's :class:`~repro.templates.nodes.CacheNode` and the
-    compiler's generated code both funnel through here, so the tag
-    behaves identically — including when no cache is configured, in
-    which case the body simply renders in place.
+    ``body_fn`` is the tag body's compiled function.  Without a
+    configured cache the body simply renders in place.
     """
     cache = getattr(engine, "fragment_cache", None) if engine is not None \
         else None

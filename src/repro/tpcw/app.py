@@ -56,10 +56,8 @@ class TPCWApplication(Application):
                  bestseller_window: int = DEFAULT_BESTSELLER_WINDOW,
                  image_count: int = 100,
                  image_bytes: int = 2048,
-                 compiled_templates: bool = True,
                  fragment_cache: bool = False):
-        super().__init__(templates=TemplateEngine(
-            sources=dict(TEMPLATES), compiled=compiled_templates))
+        super().__init__(templates=TemplateEngine(sources=dict(TEMPLATES)))
         if fragment_cache:
             # Activates the {% cache %} tags on the static-ish subject
             # sidebars (home, search_request) and render_cached().

@@ -3,34 +3,32 @@
 import pytest
 
 from repro.templates import Template, TemplateEngine, TemplateRenderError
+from repro.templates import engine as engine_module
 from repro.templates.compiler import CompileUnsupported, compile_template
 from repro.templates.nodes import Node
+from repro.templates.parser import TemplateParser
+from tests.templates.interpreter import Interpreter
 
 
 def engine_pair(sources):
+    """A compiled engine and the reference interpreter over the same
+    sources."""
     return (
-        TemplateEngine(sources=dict(sources), compiled=True),
-        TemplateEngine(sources=dict(sources), compiled=False),
+        TemplateEngine(sources=dict(sources)),
+        Interpreter(TemplateEngine(sources=dict(sources))),
     )
 
 
 class TestCompiledPath:
-    def test_engine_default_is_compiled(self):
-        engine = TemplateEngine(sources={"a.html": "hi {{ x }}"})
-        assert engine.get_template("a.html").compiled
-
-    def test_compiled_false_uses_interpreter(self):
-        engine = TemplateEngine(sources={"a.html": "hi"}, compiled=False)
-        assert not engine.get_template("a.html").compiled
-
     def test_generated_source_is_attached(self):
         engine = TemplateEngine(sources={"a.html": "{{ x }}"})
         template = engine.get_template("a.html")
         assert "def _render" in template._render_fn.generated_source
 
-    def test_standalone_template_defaults_to_interpreter(self):
-        # Without an engine there is no compiled toggle to inherit.
-        assert not Template("{{ x }}").compiled
+    def test_standalone_template_is_compiled(self):
+        template = Template("{{ x }}")
+        assert "def _render" in template._render_fn.generated_source
+        assert template.render({"x": "<b>"}) == "&lt;b&gt;"
 
     def test_literal_runs_are_pre_joined(self):
         engine = TemplateEngine(
@@ -40,33 +38,77 @@ class TestCompiledPath:
         assert "'abc'" in template._render_fn.generated_source
         assert template.render({}) == "abc"
 
-    def test_unsupported_node_falls_back(self):
+    def test_unknown_node_fails_at_load(self, monkeypatch):
         class Opaque(Node):
-            def render(self, context, parts):
-                parts.append("opaque")
+            pass
 
+        class OpaqueParser(TemplateParser):
+            def parse(self):
+                return super().parse() + [Opaque()]
+
+        monkeypatch.setattr(engine_module, "TemplateParser", OpaqueParser)
         engine = TemplateEngine(sources={"a.html": "x"})
-        template = engine.get_template("a.html")
-        template.nodes.append(Opaque())
-        assert compile_template(template, engine) is None
-        with pytest.raises(CompileUnsupported):
-            compile_template(template, engine, strict=True)
-
-    def test_fallback_counter_increments(self):
-        engine = TemplateEngine(sources={"a.html": "x"}, compiled=True)
-        original = Template.__init__
-
-        def sabotage(self, source, name="<string>", engine=None, compiled=None):
-            original(self, source, name, engine, compiled)
-            self._render_fn = None
-
-        # Simulate an uncompilable template via a monkeypatched load.
-        try:
-            Template.__init__ = sabotage
+        with pytest.raises(CompileUnsupported, match="Opaque"):
             engine.get_template("a.html")
-        finally:
-            Template.__init__ = original
-        assert engine.cache_stats()["compile_fallbacks"] == 1
+        assert engine.cache_stats()["size"] == 0
+        assert engine.cache_stats()["compile_fallbacks"] == 0
+
+    def test_compile_template_raises_instead_of_returning_none(self):
+        class Opaque(Node):
+            pass
+
+        template = Template("x")
+        template.nodes.append(Opaque())
+        with pytest.raises(CompileUnsupported, match="Opaque"):
+            compile_template(template)
+
+    def test_compile_fallbacks_is_constant_zero(self):
+        engine = TemplateEngine(sources={
+            "base.html": "<{% block b %}d{% endblock %}>",
+            "child.html": "{% extends 'base.html' %}{% block b %}"
+                          "{% include 'p.html' %}{% endblock %}",
+            "p.html": "{% cache 'k' %}{{ x }}{% endcache %}",
+        })
+        assert engine.render("child.html", {"x": 1}) == "<1>"
+        assert engine.cache_stats()["compile_fallbacks"] == 0
+
+
+INHERITANCE_CASES = {
+    "override": {
+        "base.html": "<{% block body %}default{% endblock %}>",
+        "child.html": "{% extends 'base.html' %}"
+                      "{% block body %}{{ x }}{% endblock %}",
+    },
+    "default-kept": {
+        "base.html": "{% block a %}A{% endblock %}|{% block b %}{{ x }}{% endblock %}",
+        "child.html": "{% extends 'base.html' %}{% block a %}[{{ x }}]{% endblock %}",
+    },
+    "three-level": {
+        "base.html": "({% block b %}base{% endblock %})",
+        "mid.html": "{% extends 'base.html' %}{% block b %}mid{{ x }}{% endblock %}",
+        "child.html": "{% extends 'mid.html' %}{% block b %}top{{ x }}{% endblock %}",
+    },
+    "block-in-parent-loop": {
+        "base.html": "{% for i in xs %}{% block row %}-{% endblock %}{% endfor %}",
+        "child.html": "{% extends 'base.html' %}"
+                      "{% block row %}{{ i }}{{ forloop.counter }};{% endblock %}",
+    },
+    "include-in-override": {
+        "base.html": "<{% block body %}{% endblock %}>",
+        "child.html": "{% extends 'base.html' %}"
+                      "{% block body %}{% include 'p.html' %}{% endblock %}",
+        "p.html": "{% with y=x %}{{ y }}&{% endwith %}",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(INHERITANCE_CASES))
+def test_compiled_block_overrides_match_oracle(case):
+    # Block overrides travel as compiled block functions; the oracle
+    # carries node lists.  Both must produce the same bytes.
+    compiled, oracle = engine_pair(INHERITANCE_CASES[case])
+    data = {"x": "<x>", "xs": ["a", "b"]}
+    assert compiled.render("child.html", data) == oracle.render("child.html", data)
 
 
 class TestCompiledSemantics:
@@ -129,7 +171,7 @@ class TestCompiledSemantics:
 
     def test_include_resolves_through_engine_at_render_time(self):
         sources = {"a.html": "[{% include 'p.html' %}]", "p.html": "one"}
-        engine = TemplateEngine(sources=sources, compiled=True)
+        engine = TemplateEngine(sources=sources)
         assert engine.render("a.html", {}) == "[one]"
         engine.add_source("p.html", "two")
         assert engine.render("a.html", {}) == "[two]"
@@ -139,7 +181,7 @@ class TestCompiledSemantics:
             "a.html": "{% for i in xs %}{% include 'p.html' %}{% endfor %}",
             "p.html": "[{{ i }}]",
         }
-        engine = TemplateEngine(sources=sources, compiled=True)
+        engine = TemplateEngine(sources=sources)
         assert engine.render("a.html", {"xs": [1, 2]}) == "[1][2]"
         template = engine.get_template("a.html")
         assert "p.html" in template._dependencies
@@ -151,29 +193,8 @@ class TestCompiledSemantics:
 
     def test_recursive_include_does_not_hang_compilation(self):
         sources = {"a.html": "{% if go %}{% include 'a.html' %}{% endif %}x"}
-        engine = TemplateEngine(sources=sources, compiled=True)
+        engine = TemplateEngine(sources=sources)
         assert engine.render("a.html", {"go": False}) == "x"
-
-    def test_compiled_child_with_interpreted_parent(self):
-        sources = {
-            "base.html": "<{% block body %}default{% endblock %}>",
-            "child.html": "{% extends 'base.html' %}{% block body %}{{ x }}{% endblock %}",
-        }
-        engine = TemplateEngine(sources=sources, compiled=True)
-        # Force the parent onto the interpreted path only.
-        base = engine.get_template("base.html")
-        base._render_fn = None
-        assert engine.render("child.html", {"x": "hi"}) == "<hi>"
-
-    def test_interpreted_child_with_compiled_parent(self):
-        sources = {
-            "base.html": "<{% block body %}default{% endblock %}>",
-            "child.html": "{% extends 'base.html' %}{% block body %}{{ x }}{% endblock %}",
-        }
-        engine = TemplateEngine(sources=sources, compiled=True)
-        child = engine.get_template("child.html")
-        child._render_fn = None
-        assert engine.render("child.html", {"x": "hi"}) == "<hi>"
 
     def test_with_bindings_see_earlier_ones(self):
         source = "{% with a=x b=a %}{{ b }}{% endwith %}"

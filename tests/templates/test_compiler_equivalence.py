@@ -1,9 +1,9 @@
-"""Compiled and interpreted rendering must be byte-identical.
+"""Compiled rendering must be byte-identical to the reference interpreter.
 
 Two layers: every TPC-W page rendered through its real handler data,
-and hypothesis-generated random templates over random data.  Compiled
-engines here use ``strict=True`` recompilation so an unsupported
-construct is a loud failure, never a silent fallback to the slow path.
+and hypothesis-generated random templates over random data.  The
+oracle (``tests/templates/interpreter.py``) walks the parsed node tree
+and never runs compiled code, so a codegen bug shows as a mismatch.
 """
 
 import string
@@ -12,27 +12,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.templates import TemplateEngine, TemplateSyntaxError
-from repro.templates.compiler import compile_template
 from repro.tpcw.templates_source import TEMPLATES
+from tests.templates.interpreter import Interpreter
 
 
-def strict_engine(sources):
-    """A compiled engine that refuses to fall back."""
-    engine = TemplateEngine(sources=dict(sources), compiled=True)
+def compiled_engine(sources):
+    """An engine with every source loaded (and so compiled) up front."""
+    engine = TemplateEngine(sources=dict(sources))
     for name in sources:
-        template = engine.get_template(name)
-        assert template.compiled, f"{name} fell back to the interpreter"
-        compile_template(template, engine, strict=True)
+        engine.get_template(name)
     return engine
 
 
 class TestTPCWEquivalence:
     def test_every_tpcw_template_compiles(self):
-        strict_engine(TEMPLATES)
+        compiled_engine(TEMPLATES)
 
     def test_every_route_renders_identically(self, tpcw_app):
-        compiled = strict_engine(TEMPLATES)
-        interpreted = TemplateEngine(sources=dict(TEMPLATES), compiled=False)
+        compiled = compiled_engine(TEMPLATES)
+        interpreted = Interpreter(TemplateEngine(sources=dict(TEMPLATES)))
         exercised = set()
         for path, handler in sorted(tpcw_app.routes.items()):
             name, data = handler()
@@ -108,9 +106,9 @@ def template_data(draw):
 
 
 def _outcome(make_engine, name, data):
-    """Render result, or the error both paths must agree on.  Random
-    sources may be syntactically invalid; both engines must then raise
-    the same syntax error (at load time, before any rendering)."""
+    """Render result, or the error both renderers must agree on.  Random
+    sources may be syntactically invalid; both must then raise the same
+    syntax error (at load time, before any rendering)."""
     try:
         return ("ok", make_engine().render(name, dict(data)))
     except TemplateSyntaxError as exc:
@@ -123,9 +121,9 @@ def _outcome(make_engine, name, data):
 @given(source=template_sources, data=template_data())
 def test_random_templates_render_identically(source, data):
     sources = {"t.html": source}
-    compiled = _outcome(lambda: strict_engine(sources), "t.html", data)
+    compiled = _outcome(lambda: compiled_engine(sources), "t.html", data)
     interpreted = _outcome(
-        lambda: TemplateEngine(sources=sources, compiled=False), "t.html", data
+        lambda: Interpreter(TemplateEngine(sources=sources)), "t.html", data
     )
     assert compiled == interpreted
 
@@ -140,9 +138,9 @@ def test_random_templates_with_inheritance(source, data):
             "{% block one %}" + source + "{% endblock %}"
         ),
     }
-    compiled = _outcome(lambda: strict_engine(sources), "child.html", data)
+    compiled = _outcome(lambda: compiled_engine(sources), "child.html", data)
     interpreted = _outcome(
-        lambda: TemplateEngine(sources=dict(sources), compiled=False),
+        lambda: Interpreter(TemplateEngine(sources=dict(sources))),
         "child.html", data,
     )
     assert compiled == interpreted

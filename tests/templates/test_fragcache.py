@@ -8,6 +8,7 @@ from repro.templates import (
     TemplateRenderError,
     data_signature,
 )
+from tests.templates.interpreter import Interpreter
 
 
 class FakeClock:
@@ -107,6 +108,12 @@ class TestFragmentCache:
         assert cache.stats()["hit_rate"] == 0.5
 
 
+def renderer(engine, kind):
+    """``render(name, data)`` through the compiled engine or the
+    reference interpreter; both share the engine's fragment cache."""
+    return engine if kind == "compiled" else Interpreter(engine)
+
+
 class TestCacheTag:
     SOURCES = {
         "page.html": "A{% cache sidebar_key %}[{{ n }}]{% endcache %}B",
@@ -118,15 +125,16 @@ class TestCacheTag:
         assert engine.render("page.html", {"sidebar_key": "s", "n": 1}) == "A[1]B"
         assert engine.render("page.html", {"sidebar_key": "s", "n": 2}) == "A[2]B"
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_tag_caches_fragment(self, compiled):
-        engine = TemplateEngine(sources=dict(self.SOURCES), compiled=compiled)
+    @pytest.mark.parametrize("kind", ["compiled", "oracle"])
+    def test_tag_caches_fragment(self, kind):
+        engine = TemplateEngine(sources=dict(self.SOURCES))
         engine.enable_fragment_cache()
-        assert engine.render("page.html", {"sidebar_key": "s", "n": 1}) == "A[1]B"
+        render = renderer(engine, kind).render
+        assert render("page.html", {"sidebar_key": "s", "n": 1}) == "A[1]B"
         # Same key: the stale fragment is served, by design.
-        assert engine.render("page.html", {"sidebar_key": "s", "n": 2}) == "A[1]B"
+        assert render("page.html", {"sidebar_key": "s", "n": 2}) == "A[1]B"
         # A different key renders fresh.
-        assert engine.render("page.html", {"sidebar_key": "t", "n": 2}) == "A[2]B"
+        assert render("page.html", {"sidebar_key": "t", "n": 2}) == "A[2]B"
         assert engine.fragment_cache.stats()["hits"] == 1
 
     def test_tag_with_vary_on(self):
@@ -149,13 +157,13 @@ class TestCacheTag:
         clock.now = 31.0
         assert engine.render("p.html", {"n": 3}) == "3"
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_bad_timeout_raises(self, compiled):
+    @pytest.mark.parametrize("kind", ["compiled", "oracle"])
+    def test_bad_timeout_raises(self, kind):
         sources = {"p.html": "{% cache 'k' junk %}x{% endcache %}"}
-        engine = TemplateEngine(sources=sources, compiled=compiled)
+        engine = TemplateEngine(sources=sources)
         engine.enable_fragment_cache()
         with pytest.raises(TemplateRenderError, match="is not a number"):
-            engine.render("p.html", {"junk": "zz"})
+            renderer(engine, kind).render("p.html", {"junk": "zz"})
 
     def test_explicit_invalidation_refreshes(self):
         engine = TemplateEngine(sources=dict(self.SOURCES))

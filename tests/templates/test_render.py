@@ -10,6 +10,10 @@ from repro.templates import (
     TemplateRenderError,
     TemplateSyntaxError,
 )
+from tests.templates.interpreter import Interpreter
+
+#: The reference interpreter, for standalone templates (no engine).
+ORACLE = Interpreter()
 
 
 def render(source, data=None, **engine_sources):
@@ -309,7 +313,9 @@ class TestProperties:
     @given(st.text(alphabet=st.characters(
         blacklist_characters="{%}#"), max_size=80))
     def test_plain_text_roundtrips(self, text):
-        assert Template(text).render({}) == text
+        template = Template(text)
+        assert template.render({}) == text
+        assert ORACLE.render_template(template, {}) == text
 
     @given(st.dictionaries(
         st.text(alphabet="abcdefg", min_size=1, max_size=6),
@@ -318,10 +324,14 @@ class TestProperties:
     ))
     def test_variables_render_their_values(self, data):
         name = sorted(data)[0]
-        assert Template(f"{{{{ {name} }}}}").render(data) == str(data[name])
+        template = Template(f"{{{{ {name} }}}}")
+        assert template.render(data) == str(data[name])
+        assert ORACLE.render_template(template, data) == str(data[name])
 
     @given(st.text(max_size=60))
     def test_escaped_output_has_no_raw_angle_brackets(self, value):
-        out = Template("{{ x }}").render({"x": value})
+        template = Template("{{ x }}")
+        out = template.render({"x": value})
+        assert out == ORACLE.render_template(template, {"x": value})
         assert "<" not in out
         assert ">" not in out

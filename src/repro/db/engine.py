@@ -1,9 +1,11 @@
-"""The database engine: schema registry, statement cache, locking."""
+"""The database engine: schema registry, statement and plan caches,
+locking."""
 
 from __future__ import annotations
 
+import functools
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.db.cost import CostModel
 from repro.db.errors import TableError
@@ -20,7 +22,7 @@ from repro.db.sql.ast import (
     Statement,
     Update,
 )
-from repro.db.sql.executor import Executor, ResultSet
+from repro.db.sql.executor import Plan, ResultSet, compile_statement, run_plan
 from repro.db.sql.parser import parse_sql
 from repro.db.table import Column, Table
 from repro.db.transactions import TransactionManager
@@ -48,12 +50,18 @@ class Database:
         #: owning server.
         self.faults = None
         self._statement_cache: Dict[str, Statement] = {}
+        #: id(statement) -> (statement, schema version, plan, lock needs).
+        self._plans: Dict[int, Tuple[Statement, int, Plan,
+                                     Dict[str, LockMode]]] = {}
+        #: Bumped by every schema change; a plan compiled under an older
+        #: version is never run (it may miss a new index or hold a
+        #: dropped table).
+        self._schema_version = 0
         self._cache_lock = threading.Lock()
         self._schema_lock = threading.Lock()
         self._append_latches: Dict[str, threading.Lock] = {}
         self._latch_guard = threading.Lock()
         self.transactions = TransactionManager()
-        self._executor = Executor(self.tables, self.cost_model)
 
     # ------------------------------------------------------------------
     # Schema helpers (programmatic alternative to CREATE TABLE SQL)
@@ -64,6 +72,7 @@ class Database:
                 raise TableError(f"table {name!r} already exists")
             table = Table(name, columns)
             self.tables[name] = table
+            self._schema_version += 1
             return table
 
     def table(self, name: str) -> Table:
@@ -77,6 +86,7 @@ class Database:
             if name not in self.tables:
                 raise TableError(f"no such table: {name!r}")
             del self.tables[name]
+            self._schema_version += 1
 
     # ------------------------------------------------------------------
     # Statement execution
@@ -115,7 +125,11 @@ class Database:
                           params: Sequence[Any] = (),
                           connection_id: Optional[int] = None) -> ResultSet:
         """Run a parsed statement, optionally inside a connection's
-        open transaction (writes are then undo-logged)."""
+        open transaction (writes are then undo-logged).
+
+        Data statements run their cached compiled plan; each call gets
+        its own execution context, so concurrent calls share nothing
+        mutable."""
         if isinstance(statement, Begin):
             self.transactions.begin(self._txn_key(connection_id))
             return ResultSet()
@@ -130,14 +144,45 @@ class Database:
             # failing transaction control would break rollback paths
             # no real backend fails this way.
             self.faults.on_db_query()
+        if isinstance(statement, (CreateTable, CreateIndex)):
+            # Schema changes serialise on the schema lock instead.
+            return run_plan(functools.partial(self._run_schema_change,
+                                              statement),
+                            params, self.cost_model)
         transaction = self.transactions.current(self._txn_key(connection_id))
         undo = transaction.undo if transaction is not None else None
-        needs = self._lock_needs(statement)
+        plan, needs = self._plan(statement)
         with LockScope(self.locks, needs):
             if isinstance(statement, Insert):
                 with self._append_latch(statement.table):
-                    return self._executor.execute(statement, params, undo=undo)
-            return self._executor.execute(statement, params, undo=undo)
+                    return run_plan(plan, params, self.cost_model, undo)
+            return run_plan(plan, params, self.cost_model, undo)
+
+    def _plan(self, statement: Statement) -> Tuple[Plan, Dict[str, LockMode]]:
+        """The statement's compiled plan and lock needs, compiled at most
+        once per schema version."""
+        entry = self._plans.get(id(statement))
+        if (entry is not None and entry[0] is statement
+                and entry[1] == self._schema_version):
+            return entry[2], entry[3]
+        # Read the version first: a schema change racing this compile
+        # then leaves the entry stale rather than wrongly current.
+        version = self._schema_version
+        plan = compile_statement(statement, self.tables)
+        needs = self._lock_needs(statement)
+        with self._cache_lock:
+            self._plans[id(statement)] = (statement, version, plan, needs)
+        return plan, needs
+
+    def _run_schema_change(self, statement: Statement, _context) -> ResultSet:
+        if isinstance(statement, CreateTable):
+            self.create_table(statement.name, statement.columns)
+            return ResultSet()
+        with self._schema_lock:
+            table = self.table(statement.table)
+            table.create_index(statement.name, statement.column)
+            self._schema_version += 1
+        return ResultSet()
 
     def _rollback(self, connection_id: Optional[int]) -> int:
         """Roll back under exclusive locks on every touched table (undo
@@ -181,9 +226,6 @@ class Database:
             needs = {statement.table: LockMode.EXCLUSIVE}
             self._where_subquery_tables(statement.where, needs)
             return needs
-        if isinstance(statement, (CreateTable, CreateIndex)):
-            # Schema changes serialise on the schema lock instead.
-            return {}
         return {}
 
     def _select_read_tables(self, select: Select,

@@ -1,4 +1,4 @@
-"""SQL subset: lexer, AST, recursive-descent parser, executor."""
+"""SQL subset: lexer, AST, recursive-descent parser, plan compiler."""
 
 from repro.db.sql.ast import (
     BinaryOp,
@@ -22,7 +22,7 @@ from repro.db.sql.ast import (
 )
 from repro.db.sql.lexer import Token, tokenize_sql
 from repro.db.sql.parser import parse_sql
-from repro.db.sql.executor import Executor, ResultSet
+from repro.db.sql.executor import ExecutionContext, ResultSet, compile_statement
 
 __all__ = [
     "BinaryOp",
@@ -46,6 +46,7 @@ __all__ = [
     "Token",
     "tokenize_sql",
     "parse_sql",
-    "Executor",
+    "ExecutionContext",
+    "compile_statement",
     "ResultSet",
 ]

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List
+import platform
+import subprocess
+from typing import Dict, List, Optional
 
 from repro.harness.experiments import (
     PAPER_TABLE3,
@@ -87,15 +89,49 @@ def export_json(runner: ExperimentRunner, path: str) -> str:
     return path
 
 
-def export_bench_json(document: Dict, path: str) -> str:
+#: Micro-benchmark documents are written only when this is set to "1",
+#: so a smoke run of the benchmark suite leaves the committed ones alone.
+BENCH_EXPORT_ENV = "REPRO_BENCH_EXPORT"
+
+
+def export_bench_json(document: Dict, path: str) -> Optional[str]:
     """Write a micro-benchmark baseline document (e.g.
-    ``BENCH_render.json``) as stable, diff-friendly JSON; returns the
-    path.  The document is whatever the benchmark measured — timings,
-    speedups, cache hit rates — plus enough configuration to rerun it."""
+    ``BENCH_render.json``) as stable, diff-friendly JSON, with the
+    :func:`host_metadata` it was measured on; returns the path, or None
+    (nothing written) unless ``REPRO_BENCH_EXPORT=1``.  The document is
+    whatever the benchmark measured — timings, speedups, cache hit
+    rates — plus enough configuration to rerun it."""
+    if os.environ.get(BENCH_EXPORT_ENV) != "1":
+        return None
+    document = dict(document, host=host_metadata())
     with open(path, "w", encoding="utf-8") as f:
         json.dump(document, f, indent=2, sort_keys=True)
         f.write("\n")
     return path
+
+
+def host_metadata() -> Dict:
+    """Where a measurement was taken: compare runs as ratios on one host."""
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "commit": _commit(),
+    }
+
+
+def _commit() -> str:
+    """``git describe --always --dirty`` of this source tree, or
+    "unknown" outside a git checkout."""
+    try:
+        described = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return described.stdout.strip() if described.returncode == 0 else "unknown"
 
 
 def server_stats_document(stats) -> Dict:

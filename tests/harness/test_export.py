@@ -150,3 +150,27 @@ class TestServerStatsDocument:
             loaded = json.load(f)
         assert loaded["stage_timings"]["header"]["service"]["count"] == 1
         assert loaded["connection_utilization"]["lengthy"]["leases"] == 2
+
+
+class TestBenchExport:
+    def test_nothing_written_without_the_opt_in(self, tmp_path, monkeypatch):
+        from repro.harness.export import export_bench_json
+
+        monkeypatch.delenv("REPRO_BENCH_EXPORT", raising=False)
+        path = tmp_path / "BENCH_x.json"
+        assert export_bench_json({"us": 1.0}, str(path)) is None
+        monkeypatch.setenv("REPRO_BENCH_EXPORT", "0")
+        assert export_bench_json({"us": 1.0}, str(path)) is None
+        assert not path.exists()
+
+    def test_opt_in_writes_document_with_host(self, tmp_path, monkeypatch):
+        from repro.harness.export import export_bench_json
+
+        monkeypatch.setenv("REPRO_BENCH_EXPORT", "1")
+        path = export_bench_json({"us": 1.0}, str(tmp_path / "BENCH_x.json"))
+        with open(path, encoding="utf-8") as f:
+            loaded = json.load(f)
+        assert loaded["us"] == 1.0
+        assert set(loaded["host"]) == {"nproc", "python", "platform", "commit"}
+        assert loaded["host"]["nproc"] == os.cpu_count()
+        assert loaded["host"]["commit"]

@@ -32,7 +32,7 @@ import dataclasses
 import enum
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.db.errors import DatabaseError, PoolTimeoutError, TransientDBError
 from repro.faults.errors import InjectedFault
@@ -189,8 +189,10 @@ class FaultPlan:
     # Request context: the pipeline brackets handler execution so
     # deep call sites (pool, engine) match page/stage without plumbing.
     # ------------------------------------------------------------------
-    def push_context(self, page_key: Optional[str],
+    def push_context(self, page_key: Union[Optional[str],
+                                           Callable[[], Optional[str]]],
                      stage: Optional[str]) -> Tuple:
+        """``page_key`` may be a callable, read at each decision."""
         previous = getattr(self._tls, "ctx", (None, None))
         self._tls.ctx = (page_key, stage)
         return previous
@@ -199,7 +201,10 @@ class FaultPlan:
         self._tls.ctx = token
 
     def _context(self) -> Tuple[Optional[str], Optional[str]]:
-        return getattr(self._tls, "ctx", (None, None))
+        page_key, stage = getattr(self._tls, "ctx", (None, None))
+        if callable(page_key):
+            page_key = page_key()
+        return page_key, stage
 
     # ------------------------------------------------------------------
     def decide(self, site: str, page_key: Optional[str] = None,

@@ -10,11 +10,13 @@ connection sits idle whenever its thread parses headers, serves static
 files, or renders templates.
 
 Architecturally this is now just the degenerate stage graph: one
-:class:`repro.server.pipeline.Stage` carrying a request start to
-finish over the same :class:`~repro.server.pipeline.Pipeline` core the
-staged server uses, so both servers share every line of submit,
-overload/503, completion, and shutdown plumbing — the comparison in
-the paper's experiments measures the *topology*, nothing else.
+:class:`repro.server.pipeline.Stage` (the single row of
+:func:`repro.core.topology.thread_per_request_topology`) carrying a
+request start to finish over the same
+:class:`~repro.server.pipeline.Pipeline` core the staged server uses,
+so both servers share every line of submit, overload/503, completion,
+and shutdown plumbing — the comparison in the paper's experiments
+measures the *topology*, nothing else.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.classifier import RequestClass, page_key
+from repro.core.topology import thread_per_request_topology
 from repro.db.pool import ConnectionPool
 from repro.faults.errors import CircuitOpenError
 from repro.faults.plan import FaultPlan
@@ -42,8 +45,8 @@ from repro.server.pipeline import (
     Fail,
     PipelineServer,
     RequestJob,
-    Stage,
     StageOutcome,
+    declare_stages,
 )
 from repro.server.pools import ThreadPool
 from repro.server.resources import DatabaseResource, LeaseStrategy
@@ -98,12 +101,13 @@ class BaselineServer(PipelineServer):
                 f"pins one connection"
             )
         self.lease_strategy = lease_strategy
-        stages = [
-            Stage("worker", workers, self._serve_client,
-                  resources=DatabaseResource(strategy=lease_strategy)),
-        ]
+        self.topology = thread_per_request_topology(workers)
+        stages = declare_stages(
+            self.topology, {"worker": self._serve_client},
+            DatabaseResource(strategy=lease_strategy),
+        )
         super().__init__(
-            app, connection_pool, stages, entry="worker",
+            app, connection_pool, stages, entry=self.topology.entry,
             host=host, port=port, clock=clock,
             queue_sample_interval=queue_sample_interval,
             max_queue=max_queue, socket_timeout=socket_timeout,

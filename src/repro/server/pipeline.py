@@ -53,6 +53,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.classifier import RequestClass
+from repro.core.topology import Topology
 from repro.db.pool import ConnectionPool
 from repro.faults.errors import CircuitOpenError, WorkerCrashError
 from repro.faults.plan import SITE_WORKER, FaultAction, FaultPlan
@@ -214,6 +215,16 @@ class Stage:
     resources: Optional[DatabaseResource] = None
 
 
+def declare_stages(topology: Topology,
+                   handlers: Dict[str, Callable[[RequestJob], StageOutcome]],
+                   resources: DatabaseResource) -> List[Stage]:
+    """One :class:`Stage` per row of a stage table: the table gives the
+    name, the size, and whether the stage declares ``resources``."""
+    return [Stage(spec.name, spec.size, handlers[spec.name],
+                  resources=resources if spec.holds_lease else None)
+            for spec in topology.stages]
+
+
 class Pipeline:
     """A running stage graph: pools, routing, timing, backpressure.
 
@@ -372,7 +383,10 @@ class Pipeline:
                     if self._resilience is not None else None)
         token = None
         if self._faults is not None:
-            token = self._faults.push_context(job.page_key or None,
+            # The page is read at each decision, so a handler that
+            # learns it mid-hop (thread-per-request parses on its entry
+            # stage) is matched from then on.
+            token = self._faults.push_context(lambda: job.page_key or None,
                                               stage.name)
         try:
             if deadline is not None and started - job.arrival > deadline:

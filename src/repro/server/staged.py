@@ -8,8 +8,10 @@ threads generate data with their pinned database connections and pass
 ``(template, data)`` results to Template Rendering, whose threads
 render, set the exact Content-Length, and transmit.
 
-The topology is pure configuration: :class:`StagedServer` is a list of
-:class:`repro.server.pipeline.Stage` declarations over the shared
+The topology is pure configuration: :class:`StagedServer` declares
+one :class:`repro.server.pipeline.Stage` per row of
+:func:`repro.core.topology.staged_topology` (the table the simulator
+walks too) over the shared
 :class:`repro.server.pipeline.Pipeline` core, which owns all
 submit/overload/503 plumbing, completion, and shutdown ordering.
 Handlers here only do the paper's routing logic.  That is also what
@@ -44,6 +46,7 @@ from typing import Optional
 from repro.core.classifier import RequestClass, page_key
 from repro.core.dispatch import DynamicPoolChoice
 from repro.core.policy import PolicyConfig, SchedulingPolicy
+from repro.core.topology import staged_topology
 from repro.db.pool import ConnectionPool
 from repro.faults.errors import CircuitOpenError
 from repro.faults.plan import FaultPlan
@@ -65,8 +68,8 @@ from repro.server.pipeline import (
     PipelineServer,
     RequestJob,
     RouteTo,
-    Stage,
     StageOutcome,
+    declare_stages,
 )
 from repro.server.pools import ThreadPool
 from repro.server.resources import DatabaseResource, LeaseStrategy
@@ -127,7 +130,9 @@ class StagedServer(PipelineServer):
             ))
         self.policy = policy
         config = self.policy.config
-        dynamic_threads = config.general_pool_size + config.lengthy_pool_size
+        # Figure 5 as data: the same table the simulator walks.
+        self.topology = staged_topology(config, render_stage=not render_inline)
+        dynamic_threads = self.topology.leased_threads
         if (lease_strategy is LeaseStrategy.PINNED
                 and dynamic_threads > connection_pool.size):
             # Only pinning consumes one connection per worker for life;
@@ -140,25 +145,19 @@ class StagedServer(PipelineServer):
         self.render_inline = render_inline
         self.lease_strategy = lease_strategy
 
-        # Figure 5 as data.  Only the dynamic stages declare a claim on
-        # the database — "database connections are assigned only to
-        # dynamic-request threads" (§1) — and *how* they own it is the
-        # declared strategy, provisioned by the pipeline's LeaseManager.
-        dynamic_db = DatabaseResource(strategy=lease_strategy)
-        stages = [
-            Stage("header", config.header_pool_size, self._parse_header),
-            Stage("static", config.static_pool_size, self._serve_static),
-            Stage("general", config.general_pool_size, self._serve_dynamic,
-                  resources=dynamic_db),
-            Stage("lengthy", config.lengthy_pool_size, self._serve_dynamic,
-                  resources=dynamic_db),
-        ]
-        if not render_inline:
-            stages.append(
-                Stage("render", config.render_pool_size, self._render)
-            )
+        # Only the dynamic stages declare a claim on the database —
+        # "database connections are assigned only to dynamic-request
+        # threads" (§1) — and *how* they own it is the declared
+        # strategy, provisioned by the pipeline's LeaseManager.
+        stages = declare_stages(
+            self.topology,
+            {"header": self._parse_header, "static": self._serve_static,
+             "general": self._serve_dynamic, "lengthy": self._serve_dynamic,
+             "render": self._render},
+            DatabaseResource(strategy=lease_strategy),
+        )
         super().__init__(
-            app, connection_pool, stages, entry="header",
+            app, connection_pool, stages, entry=self.topology.entry,
             host=host, port=port, clock=clock,
             queue_sample_interval=queue_sample_interval,
             max_queue=max_queue, socket_timeout=socket_timeout,

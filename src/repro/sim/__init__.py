@@ -12,11 +12,16 @@ queueing system in simulated time:
   processor-sharing server for the database host, and a FIFO
   shared/exclusive table-lock manager mirroring
   :mod:`repro.db.locks`.
-- :mod:`repro.sim.server` — the thread-per-request and staged server
-  models.  The staged model embeds the *real*
-  :class:`repro.core.SchedulingPolicy` — classification, Table 1
-  dispatch, and the treserve controller are the production code, not a
-  re-implementation.
+- :mod:`repro.sim.server` — :class:`SimServer`, one hop loop that
+  walks the live servers' stage table
+  (:mod:`repro.core.topology`): thread-per-request, the five-pool
+  staged design, its no-render-pool ablation, and shortest-job-first
+  are table choices (``SimServer.for_kind``).  The staged tables embed
+  the *real* :class:`repro.core.SchedulingPolicy` — classification,
+  Table 1 dispatch, and the treserve controller are the production
+  code, not a re-implementation.
+- :mod:`repro.sim.faults` — the fault plan's injection gates and the
+  resilience policies on simulated time.
 - :mod:`repro.sim.workload` — per-page service-demand profiles
   (derived from profiling the real TPC-W implementation, see
   :mod:`repro.tpcw.profile`) and the closed-loop emulated browsers.
@@ -33,7 +38,7 @@ from repro.sim.resources import (
     SimThreadPool,
 )
 from repro.sim.results import SimResults
-from repro.sim.server import SimBaselineServer, SimStagedServer
+from repro.sim.server import SimServer
 from repro.sim.workload import (
     DEFAULT_PROFILES,
     PageProfile,
@@ -50,8 +55,7 @@ __all__ = [
     "SimLockTable",
     "SimThreadPool",
     "SimResults",
-    "SimBaselineServer",
-    "SimStagedServer",
+    "SimServer",
     "DEFAULT_PROFILES",
     "PageProfile",
     "WorkloadConfig",

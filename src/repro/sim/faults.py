@@ -7,22 +7,29 @@ request lifecycle as generator processes, so this module re-expresses
 every injection point — and every resilience policy that reacts to it
 — against the discrete-event clock:
 
-==================  ============================  =======================
-site                live mechanism                sim mirror
-==================  ============================  =======================
-``db.pool.acquire``  PoolTimeoutError / sleep      :meth:`SimFaultHarness.lease_gate`
-``db.query``         TransientDBError / sleep      :meth:`SimFaultHarness.db_query`
-``render``           raise / sleep in the engine   :meth:`SimFaultHarness.render_gate`
-``socket.read``      drop / stall on recv          :meth:`SimFaultHarness.on_client_read`
-``socket.write``     drop / short write on send    :meth:`SimFaultHarness.on_client_write`
-``worker``           crash / hang in the pool      :meth:`SimFaultHarness.worker_start`
-==================  ============================  =======================
+===================  ========================  ======================================
+site                 live mechanism            sim gate (its one SimServer call site)
+===================  ========================  ======================================
+``db.pool.acquire``  PoolTimeoutError / sleep  :meth:`lease_gate` (``_hop``)
+``db.query``         TransientDBError / sleep  :meth:`db_query` (``_query``)
+``render``           raise / sleep in engine   :meth:`render_gate` (``_body``)
+``socket.read``      drop / stall on recv      :meth:`on_client_read` (``_hop``)
+``socket.write``     drop / short write        :meth:`on_client_write` (``_request``)
+``worker``           crash / hang in the pool  :meth:`worker_start` (``_hop``)
+===================  ========================  ======================================
+
+Each gate receives the page key the live request carries at that
+point: none before the entry stage has parsed the request (the worker
+hook and the socket read there), the page from then on.  One known
+gap: the live server transmits after the hop's fault context is
+closed, so a ``socket.write`` rule filtered by page or stage never
+matches there, while the sim passes both to :meth:`on_client_write`.
 
 Both sides evaluate the *same* :class:`FaultPlan` rules with the same
 seed, so a scripted plan produces an identical ``fault_report()`` on
 the live server and the sim — the parity the chaos tests assert.
 Injected delays become ``yield`` suspensions; injected failures become
-:class:`SimRequestFailed`, which a page process catches at its top
+:class:`SimRequestFailed`, which the request process catches at its top
 level to abandon the request (the sim analogue of an error response).
 
 Policies mirrored on sim time: per-stage request deadlines
@@ -75,8 +82,8 @@ class SimRequestFailed(Exception):
 
     ``status`` carries the HTTP status the live server would have sent
     (``None`` for a silent client abandon, where the live side sends
-    nothing at all).  Page processes catch this at their top level and
-    abandon the request without recording a completion.
+    nothing at all).  The request process catches this at its top
+    level and abandons the request without recording a completion.
     """
 
     def __init__(self, status: Optional[int], message: str = ""):
@@ -93,10 +100,10 @@ def sim_fault_plan(sim: Simulation, rules: Iterable[FaultRule],
 class SimFaultHarness:
     """One per simulated server: the plan, the policies, the counters.
 
-    The page processes call the gate methods at the same points — and
-    in the same order — as the live request path consults the plan:
-    worker hook, deadline check, socket read, pool acquire, per-query,
-    render, socket write.
+    :class:`repro.sim.server.SimServer` calls each gate method from
+    one place, at the same points — and in the same order — as the
+    live request path consults the plan: worker hook, deadline check,
+    socket read, pool acquire, per-query, render, socket write.
     """
 
     def __init__(self, sim: Simulation, plan: FaultPlan,

@@ -43,8 +43,9 @@ class SimThreadPool:
     def queued_with_tag(self, *tags: str) -> int:
         return sum(self._tag_counts.get(tag, 0) for tag in tags)
 
-    def acquire(self, tag: str = "work") -> SimEvent:
-        """Returns an event fired once a thread is granted."""
+    def acquire(self, tag: str = "work", priority: float = 0.0) -> SimEvent:
+        """Returns an event fired once a thread is granted (FIFO; the
+        ``priority`` only orders a :class:`PrioritySimThreadPool`)."""
         event = self.sim.event()
         if self.busy < self.size and not self._waiters:
             self.busy += 1

@@ -220,8 +220,11 @@ def run_tpcw_simulation(server_kind: str,
                         resilience=None) -> SimResults:
     """Run one complete simulated TPC-W experiment.
 
-    ``server_kind`` is ``"baseline"`` (thread-per-request) or
-    ``"staged"`` (the paper's five-pool design).  Returns the
+    ``server_kind`` picks the stage table (see
+    :meth:`repro.sim.server.SimServer.for_kind`): ``"baseline"``
+    (thread-per-request), ``"staged"`` (the paper's five-pool design),
+    ``"staged-render-inline"`` (no render pool), or ``"sjf"``
+    (thread-per-request with a shortest-job-first queue).  Returns the
     :class:`SimResults` with everything the harness needs.
 
     ``fault_rules`` (a sequence of :class:`repro.faults.plan.FaultRule`)
@@ -231,11 +234,7 @@ def run_tpcw_simulation(server_kind: str,
     deadlines, retry, and the circuit breaker.  The results object then
     carries ``fault_report`` and ``resilience_report`` attributes.
     """
-    from repro.sim.server import (
-        SimBaselineServer,
-        SimSJFServer,
-        SimStagedServer,
-    )
+    from repro.sim.server import SimServer
 
     if config is None:
         config = WorkloadConfig()
@@ -250,17 +249,8 @@ def run_tpcw_simulation(server_kind: str,
         measure_start=config.ramp_up,
         measure_end=config.ramp_up + config.measure,
     )
-    if server_kind == "baseline":
-        server = SimBaselineServer(sim, config, results)
-    elif server_kind == "staged":
-        server = SimStagedServer(sim, config, results, dispatcher=dispatcher)
-    elif server_kind == "staged-render-inline":
-        server = SimStagedServer(sim, config, results, dispatcher=dispatcher,
-                                 render_inline=True)
-    elif server_kind == "sjf":
-        server = SimSJFServer(sim, config, results)
-    else:
-        raise ValueError(f"unknown server kind {server_kind!r}")
+    server = SimServer.for_kind(server_kind, sim, config, results,
+                                dispatcher=dispatcher)
 
     harness = None
     if fault_rules is not None:

@@ -1,9 +1,10 @@
 """Sim/live fault parity: one scripted FaultPlan, two worlds.
 
-The same rules with the same seed are interpreted by the live
-:class:`StagedServer` (real sockets, real threads, ManualClock) and by
-the :class:`SimStagedServer` mirror (generator processes on the
-discrete-event clock).  Both must produce the identical
+The same rules with the same seed are interpreted by a live server
+(real sockets, real threads, ManualClock) and by the :class:`SimServer`
+walking the same stage table (generator processes on the
+discrete-event clock), on both topologies: the staged server and the
+thread-per-request baseline.  Both worlds must produce the identical
 ``fault_report()`` — same rules, same per-rule injection counts — and
 the identical ``resilience_report()`` counters, and a second live run
 with the same seed must reproduce the first bit for bit.
@@ -17,6 +18,7 @@ from repro.faults.plan import (
     SITE_DB_QUERY,
     SITE_POOL_ACQUIRE,
     SITE_RENDER,
+    SITE_WORKER,
     FaultAction,
     FaultPlan,
     FaultRule,
@@ -24,12 +26,13 @@ from repro.faults.plan import (
 from repro.faults.policies import ResilienceConfig, RetryPolicy
 from repro.http.client import http_request
 from repro.server.app import Application
+from repro.server.baseline import BaselineServer
 from repro.server.resources import LeaseStrategy
 from repro.server.staged import StagedServer
 from repro.sim.faults import sim_fault_plan
 from repro.sim.kernel import Simulation
 from repro.sim.results import SimResults
-from repro.sim.server import SimStagedServer
+from repro.sim.server import SimServer
 from repro.sim.workload import PageProfile, WorkloadConfig
 from repro.templates.engine import TemplateEngine
 from repro.util.clock import ManualClock
@@ -72,6 +75,21 @@ EXPECTED_INJECTED = {
     "render:delay": 1,
 }
 
+#: The stage that holds the connection, where the retries land.
+DB_STAGE = {"staged": "general", "baseline": "worker"}
+
+#: A worker crash filtered by page: the live job carries no page key
+#: at its entry stage, so the rule can only match downstream of it —
+#: on the staged general stage, and never on the one-stage baseline.
+WORKER_RULES = (
+    FaultRule(site=SITE_WORKER, action=FaultAction.CRASH,
+              page_key="/beta", max_times=1),
+)
+
+WORKER_CRASH_STAGES = {"staged": {"general": 1}, "baseline": {}}
+
+topologies = pytest.mark.parametrize("topology", ["staged", "baseline"])
+
 
 def build_parity_app():
     database = Database()
@@ -97,17 +115,20 @@ def build_parity_app():
     return app, database
 
 
-def run_live():
-    """The script against a real StagedServer; returns the reports."""
+def run_live(topology, rules=PARITY_RULES):
+    """The script against a real live server; returns the reports."""
     clock = ManualClock()
-    plan = FaultPlan(PARITY_RULES, seed=PARITY_SEED, clock=clock,
+    plan = FaultPlan(rules, seed=PARITY_SEED, clock=clock,
                      sleeper=clock.advance)
     app, database = build_parity_app()
-    server = StagedServer(
-        app, ConnectionPool(database, 4), policy=small_policy(),
-        lease_strategy=LeaseStrategy.LEASED_PER_QUERY, clock=clock,
-        faults=plan, resilience=PARITY_RESILIENCE,
-    )
+    common = dict(lease_strategy=LeaseStrategy.LEASED_PER_QUERY,
+                  clock=clock, faults=plan, resilience=PARITY_RESILIENCE)
+    if topology == "staged":
+        server = StagedServer(app, ConnectionPool(database, 4),
+                              policy=small_policy(), **common)
+    else:
+        server = BaselineServer(app, ConnectionPool(database, 4), workers=2,
+                                **common)
     server.start()
     try:
         host, port = server.address
@@ -130,13 +151,13 @@ SIM_PROFILES = {
 }
 
 
-def run_sim():
-    """The same script through the SimStagedServer mirror."""
+def run_sim(topology, rules=PARITY_RULES):
+    """The same script through the SimServer on the same stage table."""
     sim = Simulation()
     config = WorkloadConfig.quick(seed=PARITY_SEED)
-    server = SimStagedServer(sim, config, SimResults())
+    server = SimServer.for_kind(topology, sim, config, SimResults())
     harness = server.configure_faults(
-        sim_fault_plan(sim, PARITY_RULES, seed=PARITY_SEED),
+        sim_fault_plan(sim, rules, seed=PARITY_SEED),
         PARITY_RESILIENCE,
     )
 
@@ -151,24 +172,40 @@ def run_sim():
     return harness.fault_report(), harness.resilience_report()
 
 
+def worker_crashes(resilience):
+    return {stage: entry["worker_crashes"]
+            for stage, entry in resilience["stages"].items()
+            if entry["worker_crashes"]}
+
+
+@topologies
 class TestFaultParity:
-    def test_live_matches_expectations(self):
-        statuses, fault_report, resilience = run_live()
+    def test_live_matches_expectations(self, topology):
+        statuses, fault_report, resilience = run_live(topology)
         assert statuses == EXPECTED_STATUSES
         assert fault_report["seed"] == PARITY_SEED
         assert fault_report["total_injected"] == 4
         assert fault_report["injected"] == EXPECTED_INJECTED
         # Both transients hit the same SELECT and were retried on the
-        # connection-holding general stage.
-        assert resilience["stages"]["general"]["retries"] == 2
+        # connection-holding stage.
+        assert resilience["stages"][DB_STAGE[topology]]["retries"] == 2
 
-    def test_sim_mirrors_live_key_for_key(self):
-        _statuses, live_faults, live_resilience = run_live()
-        sim_faults, sim_resilience = run_sim()
+    def test_sim_mirrors_live_key_for_key(self, topology):
+        _statuses, live_faults, live_resilience = run_live(topology)
+        sim_faults, sim_resilience = run_sim(topology)
         assert sim_faults == live_faults
         assert sim_resilience == live_resilience
 
-    def test_two_consecutive_live_runs_are_identical(self):
-        first = run_live()
-        second = run_live()
+    def test_page_filtered_worker_crash_matches_live_stage(self, topology):
+        _statuses, live_faults, live_resilience = run_live(topology,
+                                                           WORKER_RULES)
+        sim_faults, sim_resilience = run_sim(topology, WORKER_RULES)
+        assert worker_crashes(live_resilience) == \
+            WORKER_CRASH_STAGES[topology]
+        assert sim_faults == live_faults
+        assert sim_resilience == live_resilience
+
+    def test_two_consecutive_live_runs_are_identical(self, topology):
+        first = run_live(topology)
+        second = run_live(topology)
         assert first == second

@@ -123,20 +123,22 @@ class TestWarmStart:
     def test_tracker_primed_from_profiles(self):
         from repro.sim.kernel import Simulation
         from repro.sim.results import SimResults
-        from repro.sim.server import SimStagedServer
+        from repro.sim.server import SimServer
         from repro.sim.workload import DEFAULT_PROFILES
 
         config = tiny_config(warm_start=True)
-        server = SimStagedServer(Simulation(), config, SimResults())
+        server = SimServer.for_kind("staged", Simulation(), config,
+                                    SimResults())
         bs_demand = DEFAULT_PROFILES["/best_sellers"].db_demand
         assert server.policy.tracker.mean_time("/best_sellers") == bs_demand
 
     def test_cold_start_tracker_empty(self):
         from repro.sim.kernel import Simulation
         from repro.sim.results import SimResults
-        from repro.sim.server import SimStagedServer
+        from repro.sim.server import SimServer
 
-        server = SimStagedServer(Simulation(), tiny_config(), SimResults())
+        server = SimServer.for_kind("staged", Simulation(), tiny_config(),
+                                    SimResults())
         assert server.policy.tracker.mean_time("/best_sellers") is None
 
     def test_warm_start_first_lengthy_routed_correctly(self):
@@ -146,14 +148,16 @@ class TestWarmStart:
         from repro.core.dispatch import DynamicPoolChoice
         from repro.sim.kernel import Simulation
         from repro.sim.results import SimResults
-        from repro.sim.server import SimStagedServer
+        from repro.sim.server import SimServer
 
         config = tiny_config(warm_start=True)
-        server = SimStagedServer(Simulation(), config, SimResults())
+        server = SimServer.for_kind("staged", Simulation(), config,
+                                    SimResults())
         choice = server.policy.route("/best_sellers", tspare=0)
         assert choice is DynamicPoolChoice.LENGTHY
 
-        cold = SimStagedServer(Simulation(), tiny_config(), SimResults())
+        cold = SimServer.for_kind("staged", Simulation(), tiny_config(),
+                                  SimResults())
         choice = cold.policy.route("/best_sellers", tspare=0)
         assert choice is DynamicPoolChoice.GENERAL
 

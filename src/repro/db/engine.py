@@ -26,6 +26,7 @@ from repro.db.sql.executor import Plan, ResultSet, compile_statement, run_plan
 from repro.db.sql.parser import parse_sql
 from repro.db.table import Column, Table
 from repro.db.transactions import TransactionManager
+from repro.faults.plan import SITE_DB_QUERY
 
 
 class Database:
@@ -143,7 +144,7 @@ class Database:
             # Injection point: only for statements that do work —
             # failing transaction control would break rollback paths
             # no real backend fails this way.
-            self.faults.on_db_query()
+            self.faults.sleep(self.faults.inject(SITE_DB_QUERY))
         if isinstance(statement, (CreateTable, CreateIndex)):
             # Schema changes serialise on the schema lock instead.
             return run_plan(functools.partial(self._run_schema_change,

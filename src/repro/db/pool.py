@@ -26,7 +26,68 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 from repro.db.connection import Connection
 from repro.db.engine import Database
 from repro.db.errors import PoolClosedError, PoolReleaseError, PoolTimeoutError
+from repro.faults.plan import SITE_POOL_ACQUIRE
 from repro.util.timeseries import SummaryAccumulator
+
+
+class CheckoutLedger:
+    """Checkout accounting for one bounded connection pool.
+
+    The live :class:`ConnectionPool` records into one under its lock,
+    the simulated pool on simulated time, so both state the connection
+    busy fraction the same way.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.in_use = 0
+        self.acquires = 0
+        self.peak_in_use = 0
+        self.wait_seconds = 0.0
+        #: Seconds connections spent checked out (completed checkouts).
+        self.held_seconds = 0.0
+        #: Seconds of those held seconds spent executing statements.
+        self.busy_seconds = 0.0
+        self.completed_checkouts = 0
+        self._wait_times = SummaryAccumulator("acquire-wait")
+
+    def granted(self, wait: float) -> None:
+        """A checkout was granted after ``wait`` seconds."""
+        self.in_use += 1
+        self.peak_in_use = max(self.peak_in_use, self.in_use)
+        self.acquires += 1
+        self.wait_seconds += wait
+        self._wait_times.add(wait)
+
+    def returned(self, held: float, busy: float) -> None:
+        """A checkout held ``held`` seconds, ``busy`` of them querying."""
+        self.held_seconds += held
+        self.busy_seconds += busy
+        self.completed_checkouts += 1
+        self.in_use -= 1
+
+    def utilization_report(self) -> Dict:
+        """Busy-fraction accounting over completed checkouts.
+
+        ``busy_fraction`` is seconds-spent-querying over seconds-held —
+        the paper's headline resource-efficiency metric (connections
+        pinned to threads that parse and render sit idle; connections
+        held only for data generation stay busy).  In-flight checkouts
+        are not included; read the report after they return (e.g. after
+        server shutdown, which releases every pinned connection).
+        """
+        held = self.held_seconds
+        busy = self.busy_seconds
+        return {
+            "size": self.size,
+            "acquires": self.acquires,
+            "completed_checkouts": self.completed_checkouts,
+            "in_use": self.in_use,
+            "held_seconds": held,
+            "busy_seconds": busy,
+            "busy_fraction": (busy / held) if held > 0 else 0.0,
+            "acquire_wait": self._wait_times.summary(),
+        }
 
 
 class ConnectionPool:
@@ -54,7 +115,6 @@ class ConnectionPool:
         self._idle: Deque[Connection] = deque()
         self._all: list = []
         self._created = 0
-        self._in_use = 0
         self._closed = False
         self._mutex = threading.Lock()
         self._available = threading.Condition(self._mutex)
@@ -63,16 +123,8 @@ class ConnectionPool:
         # also the release guard — a connection absent from this map
         # was either never issued or already returned.
         self._checked_out: Dict[Connection, Tuple[float, float]] = {}
-        # -- statistics
-        self.total_acquires = 0
-        self.total_wait_seconds = 0.0
-        self.peak_in_use = 0
-        #: Seconds connections spent checked out (completed checkouts).
-        self.total_held_seconds = 0.0
-        #: Seconds of those held seconds spent executing statements.
-        self.total_checkout_busy_seconds = 0.0
-        self.completed_checkouts = 0
-        self._wait_times = SummaryAccumulator("acquire-wait")
+        #: Checkout statistics, guarded by the pool's lock.
+        self.ledger = CheckoutLedger(size)
 
     # ------------------------------------------------------------------
     def acquire(self, timeout: Optional[float] = None) -> Connection:
@@ -81,7 +133,7 @@ class ConnectionPool:
             # An injected DELAY sleeps here (outside the condition, so
             # it does not serialise other acquirers); EXHAUST/FAIL
             # raises PoolTimeoutError exactly as a starved wait would.
-            self.faults.on_pool_acquire()
+            self.faults.sleep(self.faults.inject(SITE_POOL_ACQUIRE))
         start = self._clock()
         with self._available:
             if self._closed:
@@ -100,13 +152,8 @@ class ConnectionPool:
                 connection = Connection(self.database, clock=self._clock)
                 self._all.append(connection)
                 self._created += 1
-            self._in_use += 1
-            self.peak_in_use = max(self.peak_in_use, self._in_use)
-            self.total_acquires += 1
             now = self._clock()
-            wait = now - start
-            self.total_wait_seconds += wait
-            self._wait_times.add(wait)
+            self.ledger.granted(now - start)
             self._checked_out[connection] = (now, connection.busy_seconds)
             return connection
 
@@ -126,17 +173,13 @@ class ConnectionPool:
                     f"pool never issued)"
                 )
             checked_out_at, busy_at_checkout = checkout
-            self.total_held_seconds += self._clock() - checked_out_at
-            self.total_checkout_busy_seconds += (
-                connection.busy_seconds - busy_at_checkout
-            )
-            self.completed_checkouts += 1
+            self.ledger.returned(self._clock() - checked_out_at,
+                                 connection.busy_seconds - busy_at_checkout)
             if connection.closed:
                 # A handler closed it outright: replace capacity.
                 self._created -= 1
             else:
                 self._idle.append(connection)
-            self._in_use -= 1
             self._available.notify()
 
     class _Lease:
@@ -170,7 +213,22 @@ class ConnectionPool:
     @property
     def in_use(self) -> int:
         with self._mutex:
-            return self._in_use
+            return self.ledger.in_use
+
+    @property
+    def total_acquires(self) -> int:
+        with self._mutex:
+            return self.ledger.acquires
+
+    @property
+    def peak_in_use(self) -> int:
+        with self._mutex:
+            return self.ledger.peak_in_use
+
+    @property
+    def completed_checkouts(self) -> int:
+        with self._mutex:
+            return self.ledger.completed_checkouts
 
     @property
     def idle(self) -> int:
@@ -189,31 +247,11 @@ class ConnectionPool:
     @property
     def mean_wait_seconds(self) -> float:
         with self._mutex:
-            if self.total_acquires == 0:
-                return 0.0
-            return self.total_wait_seconds / self.total_acquires
+            ledger = self.ledger
+            return (ledger.wait_seconds / ledger.acquires
+                    if ledger.acquires else 0.0)
 
     def utilization_report(self) -> Dict:
-        """Busy-fraction accounting over completed checkouts.
-
-        ``busy_fraction`` is seconds-spent-querying over seconds-held —
-        the paper's headline resource-efficiency metric (connections
-        pinned to threads that parse and render sit idle; connections
-        held only for data generation stay busy).  In-flight checkouts
-        are not included; read the report after they return (e.g. after
-        server shutdown, which releases every pinned connection).
-        """
+        """See :meth:`CheckoutLedger.utilization_report`."""
         with self._mutex:
-            held = self.total_held_seconds
-            busy = self.total_checkout_busy_seconds
-            report = {
-                "size": self.size,
-                "acquires": self.total_acquires,
-                "completed_checkouts": self.completed_checkouts,
-                "in_use": self._in_use,
-                "held_seconds": held,
-                "busy_seconds": busy,
-                "busy_fraction": (busy / held) if held > 0 else 0.0,
-            }
-        report["acquire_wait"] = self._wait_times.summary()
-        return report
+            return self.ledger.utilization_report()

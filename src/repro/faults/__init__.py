@@ -3,11 +3,13 @@
 See :mod:`repro.faults.plan` for the injection engine (FaultPlan /
 FaultRule / FaultAction and the named sites) and
 :mod:`repro.faults.policies` for deadlines, retry/backoff, the
-circuit breaker, and degraded serving.
+circuit breaker, degraded serving, and the :class:`Resilience` wiring
+both the live servers and the simulator run them through.
 """
 
 from repro.faults.errors import (
     CircuitOpenError,
+    DeadlineExpiredError,
     InjectedFault,
     WorkerCrashError,
 )
@@ -28,6 +30,7 @@ from repro.faults.policies import (
     BreakerConfig,
     BreakerState,
     CircuitBreaker,
+    Resilience,
     ResilienceConfig,
     RetryPolicy,
 )
@@ -38,11 +41,13 @@ __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "CircuitOpenError",
+    "DeadlineExpiredError",
     "FaultAction",
     "FaultDecision",
     "FaultPlan",
     "FaultRule",
     "InjectedFault",
+    "Resilience",
     "ResilienceConfig",
     "RetryPolicy",
     "SITE_DB_QUERY",

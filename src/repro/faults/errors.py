@@ -21,6 +21,19 @@ class WorkerCrashError(InjectedFault):
     """
 
 
+class DeadlineExpiredError(RuntimeError):
+    """A job reached a stage after that stage's deadline had passed.
+
+    Raised by :meth:`repro.faults.policies.Resilience.check_deadline`
+    before the stage's handler runs (and so before it leases a
+    connection); the pipeline maps it to a 504, and the simulator
+    abandons the request on it.
+    """
+
+    def __init__(self, message: str = "request deadline expired"):
+        super().__init__(message)
+
+
 class CircuitOpenError(RuntimeError):
     """The circuit breaker guarding the connection pool is open.
 

@@ -18,12 +18,13 @@ plan seed and the rule's position, and every schedule decision comes
 from the injected clock.  Two runs with the same seed, clock script,
 and request sequence inject bit-for-bit identical faults.
 
-The plan deliberately knows nothing about servers: call sites either
-use the interpreter helpers (:meth:`on_pool_acquire`,
-:meth:`on_db_query`, :meth:`on_render`) which raise/sleep on the
-caller's behalf, or call :meth:`decide` directly and interpret the
-returned :class:`FaultDecision` themselves (sockets, workers, and the
-simulator, where "sleep" means yielding sim time).
+The plan deliberately knows nothing about servers.  Every site but
+the sockets goes through :meth:`inject`, one table of effects: it
+returns the seconds a fired rule spends or raises the error the site
+would raise for real.  The live code sleeps those seconds and the
+simulator yields them, so both worlds share the effect of every rule.
+The two socket sites call :meth:`decide` and keep their
+connection-specific handling (a 408 or a silent close, a short write).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.db.errors import DatabaseError, PoolTimeoutError, TransientDBError
-from repro.faults.errors import InjectedFault
+from repro.faults.errors import InjectedFault, WorkerCrashError
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.rng import RandomStream
 
@@ -140,6 +141,29 @@ class FaultDecision:
     action: FaultAction
     delay: float = 0.0
     message: str = ""
+
+
+#: What a fired rule does at each non-socket site: the action whose
+#: ``delay`` is spent, and the error (type, default message) each other
+#: action raises; the ``None`` key covers every action not listed.  A
+#: worker decision that is neither HANG nor CRASH does nothing.
+_EFFECTS = {
+    SITE_POOL_ACQUIRE: (FaultAction.DELAY, {
+        None: (PoolTimeoutError, "injected: connection pool exhausted"),
+    }),
+    SITE_DB_QUERY: (FaultAction.DELAY, {
+        FaultAction.TRANSIENT: (TransientDBError,
+                                "injected transient database failure"),
+        None: (DatabaseError, "injected database failure"),
+    }),
+    SITE_RENDER: (FaultAction.DELAY, {
+        None: (InjectedFault, "injected render failure ({template})"),
+    }),
+    SITE_WORKER: (FaultAction.HANG, {
+        FaultAction.CRASH: (WorkerCrashError,
+                            "injected worker crash in {stage!r}"),
+    }),
+}
 
 
 class FaultPlan:
@@ -256,56 +280,35 @@ class FaultPlan:
             self.on_inject(fired.site, fired.action.value)
         return fired
 
-    def sleep(self, seconds: float) -> None:
-        """Spend injected latency through the configured sleeper."""
-        if seconds > 0:
+    def inject(self, site: str, page_key: Optional[str] = None,
+               stage: Optional[str] = None,
+               template: Optional[str] = None) -> Optional[float]:
+        """Decide ``site`` and apply the fired rule's effect.
+
+        Returns the seconds to spend (``None`` when no rule fired or
+        the action has no effect at this site), or raises the error
+        the site raises for real; ``template`` names the template in a
+        render failure's default message.  Socket sites are not in the
+        table.
+        """
+        decision = self.decide(site, page_key, stage)
+        if decision is None:
+            return None
+        spend, errors = _EFFECTS[site]
+        if decision.action is spend:
+            return decision.delay
+        error = errors.get(decision.action, errors.get(None))
+        if error is None:
+            return None
+        kind, message = error
+        raise kind(decision.message
+                   or message.format(stage=stage, template=template))
+
+    def sleep(self, seconds: Optional[float]) -> None:
+        """Spend injected latency (an :meth:`inject` result) through
+        the configured sleeper."""
+        if seconds:
             self._sleeper(seconds)
-
-    # ------------------------------------------------------------------
-    # Interpreter helpers for call sites with obvious semantics.  The
-    # sim does not use these (it yields sim time instead of sleeping);
-    # it interprets decide() directly.
-    # ------------------------------------------------------------------
-    def on_pool_acquire(self) -> None:
-        """Consulted at the top of ``ConnectionPool.acquire``."""
-        decision = self.decide(SITE_POOL_ACQUIRE)
-        if decision is None:
-            return
-        if decision.action is FaultAction.DELAY:
-            self.sleep(decision.delay)
-            return
-        raise PoolTimeoutError(
-            decision.message or "injected: connection pool exhausted"
-        )
-
-    def on_db_query(self) -> None:
-        """Consulted by ``Database.execute_statement`` for real
-        statements (transaction control is never injected)."""
-        decision = self.decide(SITE_DB_QUERY)
-        if decision is None:
-            return
-        if decision.action is FaultAction.DELAY:
-            self.sleep(decision.delay)
-            return
-        if decision.action is FaultAction.TRANSIENT:
-            raise TransientDBError(
-                decision.message or "injected transient database failure"
-            )
-        raise DatabaseError(
-            decision.message or "injected database failure"
-        )
-
-    def on_render(self, template: Optional[str] = None) -> None:
-        """Consulted by ``TemplateEngine.render``."""
-        decision = self.decide(SITE_RENDER)
-        if decision is None:
-            return
-        if decision.action is FaultAction.DELAY:
-            self.sleep(decision.delay)
-            return
-        raise InjectedFault(
-            decision.message or f"injected render failure ({template})"
-        )
 
     # ------------------------------------------------------------------
     def injected_total(self) -> int:
@@ -335,10 +338,3 @@ class FaultPlan:
                 "injected": dict(sorted(self._site_counts.items())),
                 "rules": per_rule,
             }
-
-
-def worker_decision_applies(decision: Optional[FaultDecision]) -> bool:
-    """Whether a ``SITE_WORKER`` decision is one the pool hook acts on."""
-    return decision is not None and decision.action in (
-        FaultAction.CRASH, FaultAction.HANG,
-    )

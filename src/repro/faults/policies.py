@@ -18,6 +18,10 @@ one stuck resource.
   per-stage deadlines (expired requests fail 504 before consuming a
   connection), the retry policy, the breaker, and degraded serving
   (stale fragment-cache fallback while the breaker is open).
+- :class:`Resilience` — one server's fault plan and policies wired to
+  its stats and clock: the deadline check, the breaker guard around a
+  pool checkout, and the retry schedule.  The live servers and the
+  simulator each build one and call the same methods.
 
 Everything is clock-injected and seed-driven: backoff schedules come
 from a caller-provided :class:`random.Random`, breaker transitions
@@ -26,13 +30,18 @@ from the shared server clock — the chaos tests script both.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import random
 import threading
-from typing import Callable, List, Mapping, Optional
+from typing import Callable, Iterator, List, Mapping, Optional
 
+from repro.db.errors import PoolTimeoutError
+from repro.faults.errors import CircuitOpenError, DeadlineExpiredError
+from repro.faults.plan import FaultPlan
 from repro.util.clock import Clock, MonotonicClock
+from repro.util.rng import RandomStream
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,3 +235,75 @@ class ResilienceConfig:
     def deadline_for(self, stage: str) -> Optional[float]:
         specific = self.stage_deadlines.get(stage)
         return specific if specific is not None else self.request_deadline
+
+
+class Resilience:
+    """One server's fault plan and resilience policies, wired together.
+
+    Injections and policy verdicts land in ``stats`` (a
+    :class:`~repro.server.stats.ServerStats`); the breaker and the
+    stats read ``clock``.  The live server and the simulator each build
+    one — the sim on a clock that reads simulated time — so both run
+    the same guard, deadline check, and retry schedule.
+    """
+
+    def __init__(self, plan: Optional[FaultPlan],
+                 config: Optional[ResilienceConfig], stats, clock: Clock):
+        self.plan = plan
+        self.config = config
+        self.stats = stats
+        if plan is not None and plan.on_inject is None:
+            plan.on_inject = stats.record_fault
+        self.breaker: Optional[CircuitBreaker] = None
+        if config is not None and config.breaker is not None:
+            self.breaker = CircuitBreaker(
+                config.breaker, clock=clock,
+                on_transition=stats.record_breaker_transition,
+            )
+        self._retry = config.retry if config is not None else None
+        self._retry_stream = RandomStream(
+            config.seed if config is not None else 0, "retry-jitter"
+        )
+
+    def check_deadline(self, stage: str, age: float) -> None:
+        """Raise :class:`DeadlineExpiredError` for a job ``age`` seconds
+        old that has outlived ``stage``'s deadline; called before the
+        stage serves it."""
+        if self.config is None:
+            return
+        deadline = self.config.deadline_for(stage)
+        if deadline is not None and age > deadline:
+            self.stats.record_deadline_expired(stage)
+            raise DeadlineExpiredError()
+
+    @contextlib.contextmanager
+    def checkout(self, stage: str) -> Iterator[None]:
+        """The breaker around one pool checkout: fast-fail while it is
+        open, then feed it the checkout's outcome (a
+        :class:`PoolTimeoutError` is a failure)."""
+        breaker = self.breaker
+        if breaker is None:
+            yield
+            return
+        if not breaker.allow():
+            self.stats.record_fast_fail(stage)
+            raise CircuitOpenError(retry_after=breaker.retry_after())
+        try:
+            yield
+        except PoolTimeoutError:
+            breaker.record_failure()
+            raise
+        breaker.record_success()
+
+    def retries(self, stage: str) -> Iterator[float]:
+        """One statement's backoffs, one per transient failure it may
+        retry; each one taken counts as a retry on ``stage``.
+
+        The schedule is drawn from the retry-jitter stream at the first
+        failure, so a statement that never fails draws nothing.
+        """
+        if self._retry is None:
+            return
+        for delay in self._retry.delays(self._retry_stream):
+            self.stats.record_retry(stage)
+            yield delay

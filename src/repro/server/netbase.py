@@ -164,6 +164,8 @@ class ClientConnection:
         """Serialise and transmit; returns bytes sent (0 if peer gone)."""
         payload = response.serialize(keep_alive=keep_alive)
         if self.faults is not None:
+            # Matched against the page and stage of the fault context
+            # the pipeline opens around each send.
             decision = self.faults.decide(SITE_SOCKET_WRITE)
             if decision is not None:
                 if decision.action is FaultAction.DROP:

@@ -49,15 +49,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.classifier import RequestClass
 from repro.core.topology import Topology
 from repro.db.pool import ConnectionPool
-from repro.faults.errors import CircuitOpenError, WorkerCrashError
-from repro.faults.plan import SITE_WORKER, FaultAction, FaultPlan
-from repro.faults.policies import CircuitBreaker, ResilienceConfig
+from repro.faults.errors import CircuitOpenError, DeadlineExpiredError
+from repro.faults.plan import SITE_WORKER, FaultPlan
+from repro.faults.policies import Resilience, ResilienceConfig
 from repro.http.request import HTTPRequest
 from repro.http.response import HTTPResponse
 from repro.server.app import Application
@@ -250,6 +249,11 @@ class Pipeline:
         ``Stage.resources``.  Required when any stage declares a
         :class:`DatabaseResource`; stages without resources never
         touch it.
+    policies:
+        The server's :class:`~repro.faults.policies.Resilience`: its
+        fault plan is consulted by the worker hook and matched against
+        each job's page and stage, and its deadlines are checked before
+        every hop.
     """
 
     def __init__(self, stages: Sequence[Stage], entry: str,
@@ -257,8 +261,7 @@ class Pipeline:
                  on_park: Callable[[ClientConnection], None],
                  max_queue: Optional[int] = None,
                  leases: Optional[LeaseManager] = None,
-                 faults: Optional[FaultPlan] = None,
-                 resilience: Optional[ResilienceConfig] = None,
+                 policies: Optional[Resilience] = None,
                  on_degraded: Optional[
                      Callable[["RequestJob"], Optional[HTTPResponse]]] = None,
                  stale_store: Optional[
@@ -276,12 +279,10 @@ class Pipeline:
         self.clock = clock
         self.leases = leases
         self._on_park = on_park
+        self._policies = policies
         #: Fault-injection plan threaded through the worker hook and
         #: bracketed around handler execution as request context.
-        self._faults = faults
-        #: Deadlines and degraded-serving policy; retry/breaker live in
-        #: the LeaseManager.
-        self._resilience = resilience
+        self._faults = policies.plan if policies is not None else None
         #: Returns a stale-cache response for a breaker-open job, or
         #: ``None`` to fall through to the fast-fail 503.
         self._on_degraded = on_degraded
@@ -313,7 +314,7 @@ class Pipeline:
                     self._on_worker_error, stage.name
                 ),
                 fault_hook=(functools.partial(self._worker_fault, stage.name)
-                            if faults is not None else None),
+                            if self._faults is not None else None),
             )
             self._executors[stage.name] = functools.partial(
                 self._execute, stage
@@ -379,47 +380,43 @@ class Pipeline:
     def _execute(self, stage: Stage, job: RequestJob) -> None:
         started = self.clock.now()
         queue_wait = job.lifecycle.begin_service(started)
-        deadline = (self._resilience.deadline_for(stage.name)
-                    if self._resilience is not None else None)
+        plan = self._faults
         token = None
-        if self._faults is not None:
+        if plan is not None:
             # The page is read at each decision, so a handler that
             # learns it mid-hop (thread-per-request parses on its entry
             # stage) is matched from then on.
-            token = self._faults.push_context(lambda: job.page_key or None,
-                                              stage.name)
+            token = plan.push_context(lambda: job.page_key or None,
+                                      stage.name)
         try:
-            if deadline is not None and started - job.arrival > deadline:
-                # Expired before service even began: fail 504 without
-                # running the handler — and, crucially, without leasing
-                # a connection a doomed request would only waste.
-                self.stats.record_deadline_expired(stage.name)
-                outcome = Fail(504, "request deadline expired")
+            if self._policies is not None:
+                self._policies.check_deadline(stage.name,
+                                              started - job.arrival)
+            scope = None
+            if stage.resources is not None and self.leases is not None:
+                # Per-request leasing provisions here (pinned and
+                # per-query strategies provisioned in worker hooks and
+                # return scope=None).
+                scope = self.leases.request_scope(stage.name,
+                                                  stage.resources)
+            if scope is not None:
+                with scope:
+                    outcome = stage.handler(job)
             else:
-                try:
-                    scope = None
-                    if stage.resources is not None and self.leases is not None:
-                        # Per-request leasing provisions here (pinned
-                        # and per-query strategies provisioned in
-                        # worker hooks and return scope=None).
-                        scope = self.leases.request_scope(
-                            stage.name, stage.resources
-                        )
-                    if scope is not None:
-                        with scope:
-                            outcome = stage.handler(job)
-                    else:
-                        outcome = stage.handler(job)
-                except CircuitOpenError as exc:
-                    outcome = self._breaker_outcome(stage, job, exc)
-                except Exception as exc:
-                    # A handler bug must neither kill the worker nor
-                    # leak the connection: it becomes an error response
-                    # to the client.
-                    outcome = Complete(error_response(exc))
+                outcome = stage.handler(job)
+        except DeadlineExpiredError as exc:
+            # Expired before service even began: no handler ran, and no
+            # connection was leased for a doomed request.
+            outcome = Fail(504, str(exc))
+        except CircuitOpenError as exc:
+            outcome = self._breaker_outcome(stage, job, exc)
+        except Exception as exc:
+            # A handler bug must neither kill the worker nor leak the
+            # connection: it becomes an error response to the client.
+            outcome = Complete(error_response(exc))
         finally:
-            if token is not None and self._faults is not None:
-                self._faults.pop_context(token)
+            if token is not None:
+                plan.pop_context(token)
         service = self.clock.now() - started
         job.lifecycle.record_hop(stage.name, queue_wait, service)
         self.stats.record_stage_timing(stage.name, queue_wait, service)
@@ -455,22 +452,12 @@ class Pipeline:
     # Pool-level hooks: worker fault injection + crash containment
     # ------------------------------------------------------------------
     def _worker_fault(self, stage_name: str, item) -> None:
-        """Pool fault hook: consult the plan before the handler runs."""
+        """Pool fault hook: consult the plan before the handler runs
+        (a hang sleeps, a crash raises past the handler)."""
         plan = self._faults
-        if plan is None:
-            return
         page = (item.page_key or None) if isinstance(item, RequestJob) \
             else None
-        decision = plan.decide(SITE_WORKER, page_key=page, stage=stage_name)
-        if decision is None:
-            return
-        if decision.action is FaultAction.HANG:
-            plan.sleep(decision.delay)
-        elif decision.action is FaultAction.CRASH:
-            raise WorkerCrashError(
-                decision.message
-                or f"injected worker crash in {stage_name!r}"
-            )
+        plan.sleep(plan.inject(SITE_WORKER, page_key=page, stage=stage_name))
 
     def _on_worker_error(self, stage_name: str, exc: BaseException,
                          item) -> None:
@@ -508,7 +495,7 @@ class Pipeline:
         response = head_strip(job.request, response)
         keep_alive = (job.request.keep_alive
                       if job.request is not None else False)
-        sent = job.client.send_response(response, keep_alive=keep_alive)
+        sent = self._send(job, response, keep_alive)
         if sent:
             # A 0-byte send means the peer was already gone; counting
             # it as a completion would inflate throughput.
@@ -544,8 +531,22 @@ class Pipeline:
         response = HTTPResponse.error(status, message)
         if headers:
             response.headers.update(headers)
-        job.client.send_response(response, keep_alive=False)
+        self._send(job, response, keep_alive=False)
         job.client.close_after_error()
+
+    def _send(self, job: RequestJob, response: HTTPResponse,
+              keep_alive: bool) -> int:
+        """Transmit, with the socket write matched against the job's
+        page and owning stage (the handler's fault context is closed
+        by now)."""
+        plan = self._faults
+        if plan is None:
+            return job.client.send_response(response, keep_alive=keep_alive)
+        token = plan.push_context(job.page_key or None, job.stage)
+        try:
+            return job.client.send_response(response, keep_alive=keep_alive)
+        finally:
+            plan.pop_context(token)
 
     # ------------------------------------------------------------------
     # Observability and shutdown
@@ -608,35 +609,24 @@ class PipelineServer:
         self.connection_pool = connection_pool
         self.clock = clock if clock is not None else MonotonicClock()
         self.stats = ServerStats(self.clock)
-        self.faults = faults
-        self.resilience = resilience
+        #: The fault plan and resilience policies, wired to the stats;
+        #: ``None`` when the server runs with neither.
+        self.policies: Optional[Resilience] = None
+        if faults is not None or resilience is not None:
+            self.policies = Resilience(faults, resilience, self.stats,
+                                       self.clock)
         if faults is not None:
             # Thread the one plan through every layer it can break.
-            if faults.on_inject is None:
-                faults.on_inject = self.stats.record_fault
             connection_pool.faults = faults
             connection_pool.database.faults = faults
             app.templates.faults = faults
-        self.breaker: Optional[CircuitBreaker] = None
-        if resilience is not None and resilience.breaker is not None:
-            self.breaker = CircuitBreaker(
-                resilience.breaker, clock=self.clock,
-                on_transition=self.stats.record_breaker_transition,
-            )
-        # Backoff sleeps route through the plan's sleeper when a plan
-        # is present, so chaos tests can advance a ManualClock instead
-        # of wall time.
-        sleeper = faults.sleep if faults is not None else time.sleep
         # One lease manager per server: every stage that declares
         # DatabaseResource gets its connections provisioned (and its
         # held/busy time metered) through this object — no subclass
         # binds connections by hand.
         self.leases = LeaseManager(
             connection_pool, binder=app, stats=self.stats, clock=self.clock,
-            breaker=self.breaker,
-            retry=resilience.retry if resilience is not None else None,
-            retry_seed=resilience.seed if resilience is not None else 0,
-            sleeper=sleeper,
+            policies=self.policies,
         )
         degraded = (resilience is not None and resilience.degraded_serving)
         # Pools start their threads (and run worker_init) inside the
@@ -650,8 +640,7 @@ class PipelineServer:
             on_park=self._park,
             max_queue=max_queue,
             leases=self.leases,
-            faults=faults,
-            resilience=resilience,
+            policies=self.policies,
             on_degraded=self._degraded_response if degraded else None,
             stale_store=self._store_stale if degraded else None,
         )

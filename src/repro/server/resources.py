@@ -41,18 +41,12 @@ import dataclasses
 import enum
 import threading
 import time
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from repro.db.connection import Connection, Cursor
-from repro.db.errors import (
-    PoolTimeoutError,
-    ProgrammingError,
-    TransientDBError,
-)
-from repro.faults.errors import CircuitOpenError
-from repro.faults.policies import CircuitBreaker, RetryPolicy
+from repro.db.errors import ProgrammingError, TransientDBError
+from repro.faults.policies import Resilience
 from repro.util.clock import Clock, MonotonicClock
-from repro.util.rng import RandomStream
 
 
 class LeaseStrategy(enum.Enum):
@@ -125,27 +119,25 @@ class LeaseManager:
         released lease records (stage, strategy, wait, held, busy).
     clock:
         Time source for held-time measurement; share the server's.
+    policies:
+        The server's :class:`~repro.faults.policies.Resilience`: its
+        breaker guards every acquire and its retry schedule backs off
+        per-query transient failures.  ``None`` disables both.
     """
 
     def __init__(self, pool: ConnectionPool, binder=None, stats=None,
                  clock: Optional[Clock] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 retry_seed: int = 0,
-                 sleeper: Callable[[float], None] = time.sleep):
+                 policies: Optional[Resilience] = None):
         self.pool = pool
         self.binder = binder
         self.stats = stats
         self.clock = clock if clock is not None else MonotonicClock()
-        #: Circuit breaker guarding the pool: every acquire consults it
-        #: (fast-fail while open), every outcome feeds it.  ``None``
-        #: disables the policy.
-        self.breaker = breaker
-        #: Transient-DB retry policy for per-query leases; ``None``
-        #: disables retries.
-        self.retry = retry
-        self._retry_stream = RandomStream(retry_seed, "retry-jitter")
-        self._sleeper = sleeper
+        self.policies = policies
+        # Backoff sleeps route through the plan's sleeper when there is
+        # a plan, so chaos tests can advance a ManualClock instead of
+        # wall time.
+        plan = policies.plan if policies is not None else None
+        self.backoff_sleep = plan.sleep if plan is not None else time.sleep
         self._mutex = threading.Lock()
         self._outstanding = 0
         self._local = threading.local()
@@ -155,47 +147,21 @@ class LeaseManager:
     # ------------------------------------------------------------------
     def acquire(self, stage: str, strategy: LeaseStrategy,
                 timeout: Optional[float] = None) -> Lease:
-        if self.breaker is not None and not self.breaker.allow():
-            # Fast-fail instead of queueing another request against an
-            # exhausted pool; the pipeline maps this to 503 +
-            # Retry-After (or a degraded stale-cache response).
-            if self.stats is not None:
-                self.stats.record_fast_fail(stage)
-            raise CircuitOpenError(
-                retry_after=self.breaker.retry_after()
-            )
-        started = self.clock.now()
-        try:
+        # An open breaker fast-fails (CircuitOpenError) instead of
+        # queueing another request against an exhausted pool; the
+        # pipeline maps that to 503 + Retry-After (or a degraded
+        # stale-cache response).
+        if self.policies is None:
+            started = self.clock.now()
             connection = self.pool.acquire(timeout=timeout)
-        except PoolTimeoutError:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise
-        if self.breaker is not None:
-            self.breaker.record_success()
+        else:
+            with self.policies.checkout(stage):
+                started = self.clock.now()
+                connection = self.pool.acquire(timeout=timeout)
         now = self.clock.now()
         with self._mutex:
             self._outstanding += 1
         return Lease(connection, stage, strategy, now - started, now)
-
-    # ------------------------------------------------------------------
-    # Retry support (consumed by PerQueryConnection._run)
-    # ------------------------------------------------------------------
-    def retry_delays(self) -> List[float]:
-        """One statement's backoff schedule (empty when retries are
-        disabled).  Draws jitter from the manager's seeded stream, so
-        a fixed seed yields a bit-reproducible schedule sequence."""
-        if self.retry is None:
-            return []
-        return self.retry.delays(self._retry_stream)
-
-    def note_retry(self, stage: str) -> None:
-        if self.stats is not None:
-            self.stats.record_retry(stage)
-
-    def backoff_sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            self._sleeper(seconds)
 
     def release(self, lease: Lease) -> None:
         if lease._released:
@@ -419,9 +385,10 @@ class PerQueryConnection:
             cursor = self._sticky.connection.cursor()
             cursor.execute(sql, params)
             return cursor
-        delays = (self._manager.retry_delays()
-                  if _is_idempotent(sql) else [])
-        attempt = 0
+        policies = self._manager.policies
+        retries = (policies.retries(self._stage)
+                   if policies is not None and _is_idempotent(sql)
+                   else iter(()))
         while True:
             lease = self._manager.acquire(
                 self._stage, LeaseStrategy.LEASED_PER_QUERY, self._timeout
@@ -431,16 +398,15 @@ class PerQueryConnection:
                 cursor.execute(sql, params)
                 return cursor
             except TransientDBError:
-                if attempt >= len(delays):
+                delay = next(retries, None)
+                if delay is None:
                     raise
             finally:
                 self._manager.release(lease)
             # Only the retried transient path reaches here: back off
             # (lease released — never hold a connection while waiting),
             # then re-acquire and replay.
-            self._manager.note_retry(self._stage)
-            self._manager.backoff_sleep(delays[attempt])
-            attempt += 1
+            self._manager.backoff_sleep(delay)
 
 
 def _is_idempotent(sql: str) -> bool:

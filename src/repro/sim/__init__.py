@@ -20,8 +20,8 @@ queueing system in simulated time:
   the *real* :class:`repro.core.SchedulingPolicy` — classification,
   Table 1 dispatch, and the treserve controller are the production
   code, not a re-implementation.
-- :mod:`repro.sim.faults` — the fault plan's injection gates and the
-  resilience policies on simulated time.
+- :mod:`repro.sim.faults` — the clock adapter that runs the live fault
+  plan and resilience policies on simulated time.
 - :mod:`repro.sim.workload` — per-page service-demand profiles
   (derived from profiling the real TPC-W implementation, see
   :mod:`repro.tpcw.profile`) and the closed-loop emulated browsers.

@@ -6,8 +6,8 @@ import heapq
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.db.pool import CheckoutLedger
 from repro.sim.kernel import SimEvent, Simulation
-from repro.util.timeseries import SummaryAccumulator
 
 
 class SimThreadPool:
@@ -18,8 +18,12 @@ class SimThreadPool:
     ``queue_length`` is exactly the quantity plotted in the paper's
     Figures 7 and 8, and ``spare`` is the paper's ``tspare``.
 
-    Waiters carry a ``tag`` so queue lengths can be reported per
-    request class (Figure 7 plots queued *dynamic* requests).
+    Waiters are granted lowest ``priority`` first, in arrival order
+    among equals: a server that passes one priority gets FIFO, and one
+    that passes an estimated job size gets Shortest-Job-First
+    (Cherkasova-style, the paper's §5 comparison point).  Waiters
+    carry a ``tag`` so queue lengths can be reported per request class
+    (Figure 7 plots queued *dynamic* requests).
     """
 
     def __init__(self, sim: Simulation, name: str, size: int):
@@ -29,7 +33,8 @@ class SimThreadPool:
         self.name = name
         self.size = size
         self.busy = 0
-        self._waiters: Deque[Tuple[SimEvent, str]] = deque()
+        self._waiters: List[Tuple[float, int, SimEvent, str]] = []
+        self._arrivals = 0
         self._tag_counts: Dict[str, int] = {}
 
     @property
@@ -44,14 +49,15 @@ class SimThreadPool:
         return sum(self._tag_counts.get(tag, 0) for tag in tags)
 
     def acquire(self, tag: str = "work", priority: float = 0.0) -> SimEvent:
-        """Returns an event fired once a thread is granted (FIFO; the
-        ``priority`` only orders a :class:`PrioritySimThreadPool`)."""
+        """Returns an event fired once a thread is granted."""
         event = self.sim.event()
         if self.busy < self.size and not self._waiters:
             self.busy += 1
             event.fire()
         else:
-            self._waiters.append((event, tag))
+            self._arrivals += 1
+            heapq.heappush(self._waiters,
+                           (priority, self._arrivals, event, tag))
             self._tag_counts[tag] = self._tag_counts.get(tag, 0) + 1
         return event
 
@@ -59,55 +65,11 @@ class SimThreadPool:
         if self.busy <= 0:
             raise RuntimeError(f"pool {self.name!r}: release without acquire")
         if self._waiters:
-            event, tag = self._waiters.popleft()
+            _, __, event, tag = heapq.heappop(self._waiters)
             self._tag_counts[tag] -= 1
             event.fire()  # busy count transfers to the waiter
         else:
             self.busy -= 1
-
-
-class PrioritySimThreadPool(SimThreadPool):
-    """A thread pool whose queue is a priority queue (lowest first).
-
-    Models Shortest-Job-First scheduling over a single pool
-    (Cherkasova-style, the paper's §5 comparison point): waiters are
-    ordered by an estimated job size instead of FIFO.  Ties break by
-    arrival order, so equal-priority traffic degrades gracefully to
-    FIFO.  Inherits the tag accounting used for queue-length reporting.
-    """
-
-    def __init__(self, sim: Simulation, name: str, size: int):
-        super().__init__(sim, name, size)
-        self._heap: List[Tuple[float, int, SimEvent, str]] = []
-        self._arrivals = 0
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
-
-    def acquire(self, tag: str = "work", priority: float = 0.0) -> SimEvent:
-        event = self.sim.event()
-        if self.busy < self.size and not self._heap:
-            self.busy += 1
-            event.fire()
-        else:
-            self._arrivals += 1
-            heapq.heappush(self._heap, (priority, self._arrivals, event, tag))
-            self._tag_counts[tag] = self._tag_counts.get(tag, 0) + 1
-        return event
-
-    def release(self) -> None:
-        if self.busy <= 0:
-            raise RuntimeError(f"pool {self.name!r}: release without acquire")
-        if self._heap:
-            _, __, event, tag = heapq.heappop(self._heap)
-            self._tag_counts[tag] -= 1
-            event.fire()
-        else:
-            self.busy -= 1
-
-    def queued_with_tag(self, *tags: str) -> int:
-        return sum(self._tag_counts.get(tag, 0) for tag in tags)
 
 
 class SimLease:
@@ -144,12 +106,11 @@ class SimLease:
 class SimConnectionPool:
     """The simulated twin of :class:`repro.db.pool.ConnectionPool`.
 
-    Tracks exactly the accounting the live pool's
-    ``utilization_report`` reports — held seconds, query-busy seconds,
-    acquire-wait percentiles — so the simulator states the same
-    connection busy fraction the live servers export, and sim/live
-    parity is testable key by key (``tests/sim``).  FIFO grants, like
-    the live pool's condition-variable queue under fair wakeup.
+    Records into the live pool's :class:`~repro.db.pool.CheckoutLedger`
+    — held seconds, query-busy seconds, acquire-wait percentiles — so
+    the simulator states the same connection busy fraction the live
+    servers export (``tests/sim`` checks it key by key).  FIFO grants,
+    like the live pool's condition-variable queue under fair wakeup.
     """
 
     def __init__(self, sim: Simulation, size: int):
@@ -157,19 +118,12 @@ class SimConnectionPool:
             raise ValueError(f"connection pool size must be >= 1, got {size}")
         self.sim = sim
         self.size = size
-        self._in_use = 0
         self._waiters: Deque[SimLease] = deque()
-        # -- statistics (mirrors the live pool field for field)
-        self.total_acquires = 0
-        self.peak_in_use = 0
-        self.total_held_seconds = 0.0
-        self.total_checkout_busy_seconds = 0.0
-        self.completed_checkouts = 0
-        self._wait_times = SummaryAccumulator("acquire-wait")
+        self.ledger = CheckoutLedger(size)
 
     @property
     def in_use(self) -> int:
-        return self._in_use
+        return self.ledger.in_use
 
     @property
     def queue_length(self) -> int:
@@ -179,7 +133,7 @@ class SimConnectionPool:
         """Request a connection; the lease's ``granted`` event fires
         once one is free (immediately when the pool has capacity)."""
         lease = SimLease(self, tag)
-        if self._in_use < self.size and not self._waiters:
+        if self.ledger.in_use < self.size and not self._waiters:
             self._grant(lease)
         else:
             self._waiters.append(lease)
@@ -191,35 +145,19 @@ class SimConnectionPool:
         if lease.granted_at is None:
             raise RuntimeError("cannot release an ungranted lease")
         lease.released = True
-        self.total_held_seconds += self.sim.now - lease.granted_at
-        self.total_checkout_busy_seconds += lease.busy_seconds
-        self.completed_checkouts += 1
-        self._in_use -= 1
+        self.ledger.returned(self.sim.now - lease.granted_at,
+                             lease.busy_seconds)
         if self._waiters:
             self._grant(self._waiters.popleft())
 
     def _grant(self, lease: SimLease) -> None:
-        self._in_use += 1
-        self.peak_in_use = max(self.peak_in_use, self._in_use)
-        self.total_acquires += 1
         lease.granted_at = self.sim.now
-        self._wait_times.add(lease.granted_at - lease.requested_at)
+        self.ledger.granted(lease.granted_at - lease.requested_at)
         lease.granted.fire()
 
     def utilization_report(self) -> Dict:
-        """Same shape as ``ConnectionPool.utilization_report``."""
-        held = self.total_held_seconds
-        busy = self.total_checkout_busy_seconds
-        return {
-            "size": self.size,
-            "acquires": self.total_acquires,
-            "completed_checkouts": self.completed_checkouts,
-            "in_use": self._in_use,
-            "held_seconds": held,
-            "busy_seconds": busy,
-            "busy_fraction": (busy / held) if held > 0 else 0.0,
-            "acquire_wait": self._wait_times.summary(),
-        }
+        """Same document as ``ConnectionPool.utilization_report``."""
+        return self.ledger.utilization_report()
 
 
 class PSServer:

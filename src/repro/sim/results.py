@@ -35,7 +35,7 @@ class SimResults:
         #: connection busy fraction, same shape as the live pool's.
         self.connection_report: Optional[Dict] = None
         #: Chaos runs only: the fault plan's ``fault_report()`` and the
-        #: sim harness's ``resilience_report()``, same shape as the
+        #: server stats' ``resilience_report()``, same shape as the
         #: live server's exports (filled in by the workload runner).
         self.fault_report: Optional[Dict] = None
         self.resilience_report: Optional[Dict] = None

@@ -10,6 +10,13 @@ table locks — and one request path: :meth:`SimServer._hop` mirrors
 tables embed the *real* :class:`repro.core.SchedulingPolicy`:
 dispatch decisions, the service-time tracker, and the treserve
 controller run the production code against simulated time.
+
+Faults run the live code too: each site calls
+:meth:`repro.faults.plan.FaultPlan.inject` and yields the seconds the
+live code would sleep, the breaker, deadline, and retry schedule are a
+:class:`repro.faults.policies.Resilience`, and a request is abandoned
+on the exceptions the live server turns into an error response.  Only
+the two socket sites decide here, as the live sockets do.
 """
 
 from __future__ import annotations
@@ -24,12 +31,28 @@ from repro.core.topology import (
     staged_topology,
     thread_per_request_topology,
 )
-from repro.faults.plan import FaultPlan
-from repro.faults.policies import ResilienceConfig
-from repro.sim.faults import SimFaultHarness, SimRequestFailed
+from repro.db.errors import DatabaseError, TransientDBError
+from repro.faults.errors import (
+    CircuitOpenError,
+    DeadlineExpiredError,
+    InjectedFault,
+    WorkerCrashError,
+)
+from repro.faults.plan import (
+    SITE_DB_QUERY,
+    SITE_POOL_ACQUIRE,
+    SITE_RENDER,
+    SITE_SOCKET_READ,
+    SITE_SOCKET_WRITE,
+    SITE_WORKER,
+    FaultPlan,
+)
+from repro.faults.policies import Resilience, ResilienceConfig
+from repro.server.pipeline import DONE
+from repro.server.stats import ServerStats
+from repro.sim.faults import SimClockAdapter
 from repro.sim.kernel import SimEvent, Simulation
 from repro.sim.resources import (
-    PrioritySimThreadPool,
     PSServer,
     SimConnectionPool,
     SimLockTable,
@@ -46,6 +69,11 @@ from repro.sim.workload import (
 #: Web-host demand for a header thread to read a static request's
 #: request line and hand it to the static stage (§3.2).
 STATIC_ROUTE_DEMAND = 0.0002
+
+#: What the live server answers with an error response (500, 503, 504);
+#: the sim abandons the request, recording no completion.
+ERROR_RESPONSES = (DatabaseError, InjectedFault, CircuitOpenError,
+                   DeadlineExpiredError)
 
 
 def policy_config(config: WorkloadConfig) -> PolicyConfig:
@@ -83,9 +111,8 @@ class SimServer:
         self.db = PSServer(sim, "database", cores=config.db_cores)
         self.web = PSServer(sim, "webserver", cores=config.web_cores)
         self.locks = SimLockTable(sim)
-        pool_type = (PrioritySimThreadPool if shortest_job_first
-                     else SimThreadPool)
-        self.pools = {spec.name: pool_type(sim, spec.name, spec.size)
+        self.shortest_job_first = shortest_job_first
+        self.pools = {spec.name: SimThreadPool(sim, spec.name, spec.size)
                       for spec in topology.stages}
         #: Simulated twin of the live bounded connection pool, one
         #: connection per lease-holding thread; leases meter held vs.
@@ -100,8 +127,8 @@ class SimServer:
             for path, profile in DEFAULT_PROFILES.items():
                 if profile.db_demand > 0:
                     self.tracker.prime(path, profile.db_demand)
-        #: Fault-injection mirror; installed by :meth:`configure_faults`.
-        self.fault_harness: Optional[SimFaultHarness] = None
+        #: Fault plan and policies; installed by :meth:`configure_faults`.
+        self.policies: Optional[Resilience] = None
         self._last_tick = 0.0
 
     @classmethod
@@ -122,14 +149,16 @@ class SimServer:
 
     def configure_faults(self, plan: FaultPlan,
                          resilience: Optional[ResilienceConfig] = None
-                         ) -> SimFaultHarness:
-        """Mirror a live server's fault plan + policies on sim time.
+                         ) -> Resilience:
+        """Run a live server's fault plan + policies on sim time.
 
         The plan should be built with :func:`repro.sim.faults.
         sim_fault_plan` so its schedule windows read the sim clock.
         """
-        self.fault_harness = SimFaultHarness(self.sim, plan, resilience)
-        return self.fault_harness
+        clock = SimClockAdapter(self.sim)
+        self.policies = Resilience(plan, resilience, ServerStats(clock),
+                                   clock)
+        return self.policies
 
     # ------------------------------------------------------------------
     def submit_page(self, profile: PageProfile, jitter: float) -> SimEvent:
@@ -144,19 +173,22 @@ class SimServer:
         None) from the entry stage until no stage routes it further."""
         arrival = self.sim.now
         page = profile.path if profile is not None else ""
-        stage: Optional[str] = self.topology.entry
+        stage = self.topology.entry
         try:
-            while stage is not None:
+            while isinstance(stage, str):
                 last_stage = stage
                 stage = yield from self._hop(stage, profile, jitter,
                                              static_demand, arrival)
-        except SimRequestFailed:
-            # The live side sent an error response (or nothing, for a
-            # dropped client); either way no completion is recorded.
+        except ERROR_RESPONSES:
             return
-        harness = self.fault_harness
-        if harness is not None and \
-                not harness.on_client_write(page, last_stage):
+        if stage is DONE:
+            return  # the client vanished before sending a request
+        policies = self.policies
+        if policies is not None and policies.plan.decide(
+                SITE_SOCKET_WRITE, page_key=page,
+                stage=last_stage) is not None:
+            # A dropped or short write: the live pipeline records no
+            # completion.
             return
         if profile is None:
             self.results.record_request(self.sim.now, "static")
@@ -168,25 +200,39 @@ class SimServer:
              static_demand: float, arrival: float):
         """One stage visit, in ``Pipeline._execute``'s order: thread,
         worker hook, deadline, (entry) socket read, (leasing stage)
-        pool gate and lease, body, release.  Returns the next stage."""
+        breaker-guarded pool gate and lease, body, release.  Returns
+        the next stage, ``None`` when done, or ``DONE``."""
         spec = self.topology[name]
         entry = name == self.topology.entry
         page = profile.path if profile is not None else ""
-        harness = self.fault_harness
+        policies = self.policies
         pool = self.pools[name]
-        priority = (self.tracker.mean_time(page) or 0.0) if page else 0.0
+        priority = 0.0
+        if self.shortest_job_first and page:
+            priority = self.tracker.mean_time(page) or 0.0
         yield pool.acquire(tag="dynamic" if page else "static",
                            priority=priority)
         try:
-            if harness is not None:
+            if policies is not None:
                 # The live job carries no page key until the entry
                 # stage has parsed the request.
-                yield from harness.worker_start(name, "" if entry else page)
-                harness.check_deadline(name, arrival)
-                if entry:
-                    harness.on_client_read("", name)
+                try:
+                    yield from self._inject(SITE_WORKER,
+                                            "" if entry else page, name)
+                except WorkerCrashError:
+                    # Live: the crash escapes into the pool's error
+                    # handler, which counts it.
+                    policies.stats.record_worker_crash(name)
+                    raise
+                policies.check_deadline(name, self.sim.now - arrival)
+                if entry and policies.plan.decide(
+                        SITE_SOCKET_READ, page_key="",
+                        stage=name) is not None:
+                    return DONE  # the peer stalled or vanished
                 if spec.holds_lease and page:
-                    yield from harness.lease_gate(name, page)
+                    with policies.checkout(name):
+                        yield from self._inject(SITE_POOL_ACQUIRE, page,
+                                                name)
             lease = None
             if spec.holds_lease:
                 lease = self.connections.lease(tag=name)
@@ -199,6 +245,13 @@ class SimServer:
                     lease.release()
         finally:
             pool.release()
+
+    def _inject(self, site: str, page: str, stage: str):
+        """A fault site on sim time: yield what the live code sleeps,
+        raise what it raises."""
+        delay = self.policies.plan.inject(site, page_key=page, stage=stage)
+        if delay is not None:
+            yield delay
 
     def _body(self, name: str, profile: Optional[PageProfile], jitter: float,
               static_demand: float, lease):
@@ -229,8 +282,8 @@ class SimServer:
             if "render" in self.topology:
                 return "render"
         if profile.render_demand > 0:
-            if self.fault_harness is not None:
-                yield from self.fault_harness.render_gate(profile.path, name)
+            if self.policies is not None:
+                yield from self._inject(SITE_RENDER, profile.path, name)
             yield self.web.serve(profile.render_demand * jitter)
         return None
 
@@ -259,10 +312,21 @@ class SimServer:
                 self.locks.release_write(profile.write_table)
 
     def _query(self, demand: float, lease, stage: str, page: str):
-        # Mirror of the live engine's per-statement injection point
-        # (delay, transient-with-retry, hard failure).
-        if self.fault_harness is not None:
-            yield from self.fault_harness.db_query(stage, page)
+        policies = self.policies
+        if policies is not None:
+            # The engine's per-statement site under the per-query
+            # lease strategy's retry: each retried transient failure
+            # backs off and decides again.
+            retries = policies.retries(stage)
+            while True:
+                try:
+                    yield from self._inject(SITE_DB_QUERY, page, stage)
+                    break
+                except TransientDBError:
+                    delay = next(retries, None)
+                    if delay is None:
+                        raise
+                yield delay
         query_started = self.sim.now
         yield self.db.serve(demand)
         lease.note_busy(self.sim.now - query_started)

@@ -252,12 +252,12 @@ def run_tpcw_simulation(server_kind: str,
     server = SimServer.for_kind(server_kind, sim, config, results,
                                 dispatcher=dispatcher)
 
-    harness = None
+    policies = None
     if fault_rules is not None:
         from repro.sim.faults import sim_fault_plan
 
         plan = sim_fault_plan(sim, fault_rules, seed=fault_seed)
-        harness = server.configure_faults(plan, resilience)
+        policies = server.configure_faults(plan, resilience)
 
     for index in range(config.clients):
         rng = RandomStream(config.seed, f"browser-{index}")
@@ -272,9 +272,9 @@ def run_tpcw_simulation(server_kind: str,
     # In-flight leases at cut-off are simply not counted (same rule as
     # the live report: completed checkouts only).
     results.connection_report = server.connections.utilization_report()
-    if harness is not None:
-        results.fault_report = harness.fault_report()
-        results.resilience_report = harness.resilience_report()
+    if policies is not None:
+        results.fault_report = policies.plan.fault_report()
+        results.resilience_report = policies.stats.resilience_report()
     return results
 
 

@@ -18,6 +18,7 @@ from repro.faults.plan import (
     SITE_DB_QUERY,
     SITE_POOL_ACQUIRE,
     SITE_RENDER,
+    SITE_SOCKET_WRITE,
     SITE_WORKER,
     FaultAction,
     FaultPlan,
@@ -25,6 +26,7 @@ from repro.faults.plan import (
 )
 from repro.faults.policies import ResilienceConfig, RetryPolicy
 from repro.http.client import http_request
+from repro.http.errors import BadRequestError
 from repro.server.app import Application
 from repro.server.baseline import BaselineServer
 from repro.server.resources import LeaseStrategy
@@ -88,6 +90,14 @@ WORKER_RULES = (
 
 WORKER_CRASH_STAGES = {"staged": {"general": 1}, "baseline": {}}
 
+#: A dropped response filtered by page: the live write happens after
+#: the handler's hop, so it must still be matched against the job's
+#: page and owning stage, as the sim's write gate is.
+WRITE_RULES = (
+    FaultRule(site=SITE_SOCKET_WRITE, action=FaultAction.DROP,
+              page_key="/beta", max_times=1),
+)
+
 topologies = pytest.mark.parametrize("topology", ["staged", "baseline"])
 
 
@@ -115,6 +125,14 @@ def build_parity_app():
     return app, database
 
 
+def live_status(host, port, path):
+    """The response status, or ``None`` when the response was dropped."""
+    try:
+        return http_request(host, port, path).status
+    except (BadRequestError, ConnectionResetError):
+        return None
+
+
 def run_live(topology, rules=PARITY_RULES):
     """The script against a real live server; returns the reports."""
     clock = ManualClock()
@@ -132,8 +150,7 @@ def run_live(topology, rules=PARITY_RULES):
     server.start()
     try:
         host, port = server.address
-        statuses = tuple(http_request(host, port, path).status
-                         for path in SCRIPT)
+        statuses = tuple(live_status(host, port, path) for path in SCRIPT)
     finally:
         server.stop()
     return statuses, plan.fault_report(), server.stats.resilience_report()
@@ -156,7 +173,7 @@ def run_sim(topology, rules=PARITY_RULES):
     sim = Simulation()
     config = WorkloadConfig.quick(seed=PARITY_SEED)
     server = SimServer.for_kind(topology, sim, config, SimResults())
-    harness = server.configure_faults(
+    policies = server.configure_faults(
         sim_fault_plan(sim, rules, seed=PARITY_SEED),
         PARITY_RESILIENCE,
     )
@@ -169,7 +186,7 @@ def run_sim(topology, rules=PARITY_RULES):
 
     sim.spawn(driver())
     sim.run()
-    return harness.fault_report(), harness.resilience_report()
+    return policies.plan.fault_report(), policies.stats.resilience_report()
 
 
 def worker_crashes(resilience):
@@ -202,6 +219,15 @@ class TestFaultParity:
         sim_faults, sim_resilience = run_sim(topology, WORKER_RULES)
         assert worker_crashes(live_resilience) == \
             WORKER_CRASH_STAGES[topology]
+        assert sim_faults == live_faults
+        assert sim_resilience == live_resilience
+
+    def test_page_filtered_socket_write_drop_matches_live(self, topology):
+        statuses, live_faults, live_resilience = run_live(topology,
+                                                          WRITE_RULES)
+        sim_faults, sim_resilience = run_sim(topology, WRITE_RULES)
+        assert statuses == (200, 200, None, 200, 200, 200)
+        assert live_faults["injected"] == {"socket.write:drop": 1}
         assert sim_faults == live_faults
         assert sim_resilience == live_resilience
 

@@ -5,7 +5,7 @@ all on a ManualClock, no servers involved."""
 import pytest
 
 from repro.db.errors import DatabaseError, PoolTimeoutError, TransientDBError
-from repro.faults.errors import InjectedFault
+from repro.faults.errors import InjectedFault, WorkerCrashError
 from repro.faults.plan import (
     SITE_DB_QUERY,
     SITE_POOL_ACQUIRE,
@@ -15,7 +15,6 @@ from repro.faults.plan import (
     FaultAction,
     FaultPlan,
     FaultRule,
-    worker_decision_applies,
 )
 from repro.util.clock import ManualClock
 
@@ -169,13 +168,13 @@ class TestDeterminism:
         assert self.pattern(extended) == reference
 
 
-class TestInterpreterHelpers:
+class TestInjectEffects:
     def test_pool_exhaust_raises_pool_timeout(self):
         plan = make_plan([
             FaultRule(site=SITE_POOL_ACQUIRE, action=FaultAction.EXHAUST),
         ])
         with pytest.raises(PoolTimeoutError):
-            plan.on_pool_acquire()
+            plan.inject(SITE_POOL_ACQUIRE)
 
     def test_db_transient_and_hard_failures(self):
         plan = make_plan([
@@ -184,30 +183,50 @@ class TestInterpreterHelpers:
             FaultRule(site=SITE_DB_QUERY, action=FaultAction.FAIL),
         ])
         with pytest.raises(TransientDBError):
-            plan.on_db_query()
+            plan.inject(SITE_DB_QUERY)
         with pytest.raises(DatabaseError):
-            plan.on_db_query()
+            plan.inject(SITE_DB_QUERY)
 
     def test_render_failure_raises_injected_fault(self):
         plan = make_plan([
             FaultRule(site=SITE_RENDER, action=FaultAction.FAIL),
         ])
-        with pytest.raises(InjectedFault):
-            plan.on_render("page.html")
+        with pytest.raises(InjectedFault,
+                           match=r"render failure \(page\.html\)"):
+            plan.inject(SITE_RENDER, template="page.html")
 
-    def test_delay_routes_through_sleeper(self):
+    def test_delay_is_returned_and_spent_through_sleeper(self):
         clock = ManualClock()
         plan = FaultPlan([
             FaultRule(site=SITE_DB_QUERY, action=FaultAction.DELAY,
                       delay=2.5),
         ], clock=clock, sleeper=clock.advance)
-        plan.on_db_query()  # must not raise
+        assert plan.inject(SITE_RENDER) is None  # no rule for the site
+        seconds = plan.inject(SITE_DB_QUERY)
+        assert seconds == 2.5
+        plan.sleep(seconds)
         assert clock.now() == pytest.approx(2.5)
+
+    def test_worker_hang_spends_and_crash_raises(self):
+        plan = make_plan([
+            FaultRule(site=SITE_WORKER, action=FaultAction.CRASH,
+                      max_times=1),
+            FaultRule(site=SITE_WORKER, action=FaultAction.HANG, delay=1.0,
+                      max_times=1),
+            FaultRule(site=SITE_WORKER, action=FaultAction.DROP),
+        ])
+        with pytest.raises(WorkerCrashError, match="'general'"):
+            plan.inject(SITE_WORKER, stage="general")
+        assert plan.inject(SITE_WORKER) == 1.0
+        # An action with no worker effect fires but does nothing.
+        assert plan.inject(SITE_WORKER) is None
+        assert plan.injected_total() == 3
 
     def test_zero_sleep_skips_sleeper(self):
         calls = []
         plan = FaultPlan([], sleeper=calls.append)
         plan.sleep(0.0)
+        plan.sleep(None)
         assert calls == []
 
 
@@ -240,13 +259,3 @@ class TestReporting:
         plan.decide(SITE_DB_QUERY)
         plan.decide(SITE_RENDER)  # no rule: no injection, no callback
         assert seen == [(SITE_DB_QUERY, "fail")]
-
-    def test_worker_decision_applies(self):
-        plan = make_plan([
-            FaultRule(site=SITE_WORKER, action=FaultAction.CRASH,
-                      max_times=1),
-            FaultRule(site=SITE_WORKER, action=FaultAction.HANG, delay=1.0),
-        ])
-        assert worker_decision_applies(plan.decide(SITE_WORKER))
-        assert worker_decision_applies(plan.decide(SITE_WORKER))
-        assert not worker_decision_applies(None)

@@ -33,6 +33,7 @@ from repro.http.errors import RequestTimeoutError
 from repro.server.netbase import ClientConnection
 from repro.server.resources import LeaseStrategy
 from repro.util.clock import ManualClock
+from repro.util.rng import RandomStream
 
 from tests.chaos.conftest import STRATEGIES, TOPOLOGIES
 
@@ -295,6 +296,30 @@ class TestBreakerPolicies:
         shed = http_request(host, port, "/ok")
         assert shed.status == 503
         assert "retry-after" in shed.headers
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+class TestRetrySchedule:
+    def test_clean_selects_draw_no_backoff_schedule(self, make_server,
+                                                    topology):
+        """A statement draws its backoff schedule at its first transient
+        failure, so two clean SELECTs leave the stream untouched and the
+        third statement's backoff is the stream's first delay."""
+        retry = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.5)
+        server, _plan, clock = make_server(
+            topology, LeaseStrategy.LEASED_PER_QUERY, [
+                FaultRule(site=SITE_DB_QUERY, action=FaultAction.TRANSIENT,
+                          after=1.0, max_times=1),
+            ], resilience=ResilienceConfig(retry=retry, seed=7))
+        host, port = server.address
+        for _ in range(2):
+            assert http_request(host, port, "/ok").status == 200
+        clock.advance(1.0)
+        before = clock.now()
+        assert http_request(host, port, "/ok").status == 200
+        assert stage_totals(server, "retries") == 1
+        first = retry.delays(RandomStream(7, "retry-jitter"))[0]
+        assert clock.now() - before == pytest.approx(first, rel=1e-9)
 
 
 class TestStageDeadlines:

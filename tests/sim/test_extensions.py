@@ -4,7 +4,7 @@ and the priority pool behind them."""
 import pytest
 
 from repro.sim.kernel import Simulation
-from repro.sim.resources import PrioritySimThreadPool
+from repro.sim.resources import SimThreadPool
 from repro.sim.workload import (
     LENGTHY_REPORT_PAGES,
     WorkloadConfig,
@@ -16,7 +16,7 @@ from tests.sim.test_workload_server import fast_profiles, tiny_config
 class TestPriorityPool:
     def test_lowest_priority_served_first(self):
         sim = Simulation()
-        pool = PrioritySimThreadPool(sim, "p", 1)
+        pool = SimThreadPool(sim, "p", 1)
         order = []
 
         def worker(name, priority, hold):
@@ -33,7 +33,7 @@ class TestPriorityPool:
 
     def test_equal_priority_is_fifo(self):
         sim = Simulation()
-        pool = PrioritySimThreadPool(sim, "p", 1)
+        pool = SimThreadPool(sim, "p", 1)
         order = []
 
         def worker(name):
@@ -49,7 +49,7 @@ class TestPriorityPool:
 
     def test_queue_length_and_tags(self):
         sim = Simulation()
-        pool = PrioritySimThreadPool(sim, "p", 1)
+        pool = SimThreadPool(sim, "p", 1)
         pool.acquire(tag="x")  # granted
         pool.acquire(tag="dynamic", priority=5.0)
         pool.acquire(tag="static", priority=0.0)
@@ -59,7 +59,7 @@ class TestPriorityPool:
 
     def test_release_without_acquire(self):
         sim = Simulation()
-        pool = PrioritySimThreadPool(sim, "p", 1)
+        pool = SimThreadPool(sim, "p", 1)
         with pytest.raises(RuntimeError):
             pool.release()
 

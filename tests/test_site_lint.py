@@ -2,6 +2,8 @@
 
 - ``submit``: pool submits only in server/pipeline.py.
 - ``acquire``: connection checkouts only in the resource layers.
+- ``decide``: raw fault decisions only in the fault package and the
+  socket gates.
 - ``sleep``: chaos tests run on scripted clocks, never ``time.sleep``.
 """
 
@@ -69,6 +71,16 @@ CASES = {
     "acquire-non-python-ignored": (
         "acquire", {"README.md": "call pool.acquire() freely\n"}, [],
     ),
+    "decide-outside-socket-gates": (
+        "decide",
+        {os.path.join("repro", "db", "pool.py"):
+         "def f(plan):\n    return plan.decide(SITE)\n",
+         os.path.join("repro", "faults", "plan.py"):
+         "def f(self):\n    return self.decide(SITE)\n",
+         os.path.join(SERVER, "netbase.py"): "d = plan.decide(SITE)\n",
+         os.path.join("repro", "sim", "server.py"): "d = plan.decide(SITE)\n"},
+        [(os.path.join("repro", "db", "pool.py"), 2, ".decide(")],
+    ),
     "sleep-time-sleep-call": (
         "sleep",
         {"test_rogue.py": "import time\n\ndef test_x():\n    time.sleep(0.5)\n"},
@@ -96,6 +108,7 @@ CASES = {
 SEEDED = {
     "submit": "pool.submit(handler, item)\n",
     "acquire": "conn = pool.acquire()\n",
+    "decide": "decision = plan.decide(SITE_WORKER)\n",
     "sleep": "import time\ntime.sleep(2)\n",
 }
 

@@ -22,6 +22,13 @@ allow-list:
     ``lease()``).  The pattern is deliberately broad (it also matches
     lock-manager and simulated-thread-pool acquires): every legitimate
     acquire already lives in an allow-listed resource module.
+``decide``
+    ``FaultPlan.decide()`` only in ``repro/faults/``, the live sockets
+    (``server/netbase.py``), and the simulated server's socket gates
+    (``sim/server.py``).  Every other injection site goes through
+    ``FaultPlan.inject()``, the one table of fault effects that the
+    live code and the simulator share; a site that interprets a raw
+    decision itself is a second copy of that table, free to drift.
 ``sleep``
     No ``time.sleep`` (nor ``sleep`` imported from ``time``) in
     ``tests/chaos``.  Chaos scenarios run on a ``ManualClock`` or the
@@ -49,7 +56,8 @@ class Rule(NamedTuple):
     #: Scanned root, relative to the repository.
     root: str
     patterns: Tuple[Pattern, ...]
-    #: Paths (relative to the root) allowed to match.
+    #: Paths (relative to the root) allowed to match; an entry ending
+    #: in a separator allows every file beneath that directory.
     allowed: FrozenSet[str]
     failure: str
     clean: str
@@ -91,6 +99,22 @@ RULES: Dict[str, Rule] = {
         clean=("acquire-site check: clean "
                "(all connection checkouts flow through the lease layer)"),
     ),
+    "decide": Rule(
+        root="src",
+        patterns=(re.compile(r"\.decide\s*\("),),
+        allowed=frozenset({
+            # The plan itself: inject() decides, then applies the effect.
+            os.path.join("repro", "faults", ""),
+            # Socket reads and writes: 408 vs. silent close, short write.
+            os.path.join("repro", "server", "netbase.py"),
+            # The same two socket gates on simulated time.
+            os.path.join("repro", "sim", "server.py"),
+        }),
+        failure=("FaultPlan.decide call sites outside the fault package "
+                 "and the socket gates (apply effects via FaultPlan.inject):"),
+        clean=("decide-site check: clean "
+               "(fault effects come from FaultPlan.inject)"),
+    ),
     "sleep": Rule(
         root=os.path.join("tests", "chaos"),
         patterns=(
@@ -119,7 +143,9 @@ def find_violations(rule: Rule, root: Optional[str] = None
                 continue
             path = os.path.join(dirpath, filename)
             relative = os.path.relpath(path, root)
-            if relative in rule.allowed:
+            if any(relative == allowed or (allowed.endswith(os.sep)
+                                           and relative.startswith(allowed))
+                   for allowed in rule.allowed):
                 continue
             with open(path, encoding="utf-8") as f:
                 for lineno, line in enumerate(f, start=1):

@@ -71,8 +71,8 @@ def ablation_config(**overrides):
     return WorkloadConfig(**base)
 
 
-def quick_mean(results):
-    rts = results.mean_response_times()
+def quick_mean(server):
+    rts = server.stats.mean_response_times()
     quick = [
         value for page, value in rts.items()
         if page not in LENGTHY_REPORT_PAGES
@@ -80,8 +80,8 @@ def quick_mean(results):
     return sum(quick) / len(quick)
 
 
-def lengthy_mean(results):
-    rts = results.mean_response_times()
+def lengthy_mean(server):
+    rts = server.stats.mean_response_times()
     values = [rts[p] for p in LENGTHY_REPORT_PAGES if p in rts]
     return sum(values) / len(values)
 
@@ -152,13 +152,13 @@ def test_a4_baseline_sizing_sensitivity(benchmark):
     binding resource, the gain is a decreasing function of baseline
     size.  This is the reproduction's most important caveat (the paper
     reports no pool sizes)."""
-    staged = run_tpcw_simulation("staged", ablation_config())
+    staged = run_tpcw_simulation("staged", ablation_config()).stats
     gains = {}
 
     def sweep():
         for workers in (14, 20, 30):
             config = ablation_config(baseline_workers=workers)
-            baseline = run_tpcw_simulation("baseline", config)
+            baseline = run_tpcw_simulation("baseline", config).stats
             gains[workers] = 100 * (
                 staged.total_completions() / baseline.total_completions() - 1
             )

@@ -30,14 +30,14 @@ CONFIG = WorkloadConfig(
 )
 
 
-def quick_mean(results):
-    rts = results.mean_response_times()
+def quick_mean(server):
+    rts = server.stats.mean_response_times()
     values = [v for p, v in rts.items() if p not in LENGTHY_REPORT_PAGES]
     return sum(values) / len(values)
 
 
-def lengthy_mean(results):
-    rts = results.mean_response_times()
+def lengthy_mean(server):
+    rts = server.stats.mean_response_times()
     values = [rts[p] for p in LENGTHY_REPORT_PAGES if p in rts]
     return sum(values) / len(values)
 
@@ -53,18 +53,19 @@ def test_e1_sjf_comparison(benchmark, staged_run):
     )
     baseline = run_tpcw_simulation("baseline", CONFIG)
 
-    def lengthy_worst(results):
+    def lengthy_worst(server):
+        summaries = server.stats.response_time_summary()
         return max(
-            results.response_times[p].maximum
-            for p in LENGTHY_REPORT_PAGES if p in results.response_times
+            summaries[p]["max"]
+            for p in LENGTHY_REPORT_PAGES if p in summaries
         )
 
     print("\nE1 quick mean / lengthy mean / lengthy worst-case (s):")
-    for label, results in (("baseline FIFO", baseline), ("SJF", sjf),
-                           ("staged (paper)", staged_run)):
-        print(f"   {label:16s} quick {quick_mean(results):7.3f}   "
-              f"lengthy {lengthy_mean(results):7.2f}   "
-              f"worst {lengthy_worst(results):7.1f}")
+    for label, server in (("baseline FIFO", baseline), ("SJF", sjf),
+                          ("staged (paper)", staged_run)):
+        print(f"   {label:16s} quick {quick_mean(server):7.3f}   "
+              f"lengthy {lengthy_mean(server):7.2f}   "
+              f"worst {lengthy_worst(server):7.1f}")
 
     # "effects similar to Shortest Job First": both SJF and staged
     # beat FIFO on quick pages by a wide margin (and the staged design
@@ -90,8 +91,8 @@ def test_e2_render_inline_ablation(benchmark, staged_run):
         run_tpcw_simulation, args=("staged-render-inline", CONFIG),
         rounds=1, iterations=1,
     )
-    separated = staged_run.total_completions()
-    inlined = inline.total_completions()
+    separated = staged_run.stats.total_completions()
+    inlined = inline.stats.total_completions()
     print(f"\nE2 completions: render pool {separated} vs inline {inlined} "
           f"({100 * (separated / inlined - 1):+.1f}%)")
 

@@ -10,13 +10,13 @@ from repro.sim.workload import run_tpcw_simulation
 
 
 def test_table4_staged_run(benchmark, runner, workload_config):
-    results = benchmark.pedantic(
+    server = benchmark.pedantic(
         run_tpcw_simulation,
         args=("staged", workload_config),
         rounds=1, iterations=1,
     )
-    assert results.total_completions() > 0
-    benchmark.extra_info["completions"] = results.total_completions()
+    assert server.stats.total_completions() > 0
+    benchmark.extra_info["completions"] = server.stats.total_completions()
 
 
 def test_table4_throughput(runner):

@@ -41,8 +41,8 @@ SERVERS = [
 ]
 
 
-def quick_mean(results) -> float:
-    response_times = results.mean_response_times()
+def quick_mean(stats) -> float:
+    response_times = stats.mean_response_times()
     values = [
         value for page, value in response_times.items()
         if page not in LENGTHY_REPORT_PAGES
@@ -50,14 +50,15 @@ def quick_mean(results) -> float:
     return sum(values) / len(values)
 
 
-def lengthy_stats(results):
+def lengthy_stats(stats):
+    summaries = stats.response_time_summary()
     means = []
     worst = 0.0
     for page in LENGTHY_REPORT_PAGES:
-        accumulator = results.response_times.get(page)
-        if accumulator is not None and accumulator.count:
-            means.append(accumulator.mean)
-            worst = max(worst, accumulator.maximum)
+        summary = summaries.get(page)
+        if summary is not None:
+            means.append(summary["mean"])
+            worst = max(worst, summary["max"])
     return sum(means) / len(means), worst
 
 
@@ -74,11 +75,11 @@ def main() -> None:
 
     runs = {}
     for kind, label in SERVERS:
-        results = run_tpcw_simulation(kind, CONFIG)
-        runs[kind] = results
-        lengthy_mean, lengthy_worst = lengthy_stats(results)
-        print(f"{label:32s} {results.total_completions():>12d} "
-              f"{quick_mean(results)*1000:>9.0f}ms "
+        stats = run_tpcw_simulation(kind, CONFIG).stats
+        runs[kind] = stats
+        lengthy_mean, lengthy_worst = lengthy_stats(stats)
+        print(f"{label:32s} {stats.total_completions():>12d} "
+              f"{quick_mean(stats)*1000:>9.0f}ms "
               f"{lengthy_mean:>11.1f}s {lengthy_worst:>12.1f}s")
 
     print()

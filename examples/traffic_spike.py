@@ -48,21 +48,21 @@ def simulate_spike() -> None:
         mix_weights=spiky_mix,
     )
     print("simulating a lengthy-page stampede against the staged server...")
-    results = run_tpcw_simulation("staged", config, profiles=profiles)
+    stats = run_tpcw_simulation("staged", config, profiles=profiles).stats
 
     print()
-    print(format_series(results.spare_series, "tspare (general pool spare threads)"))
+    print(format_series(stats.spare_series, "tspare (general pool spare threads)"))
     print()
-    print(format_series(results.treserve_series, "treserve (adaptive reserve)"))
+    print(format_series(stats.treserve_series, "treserve (adaptive reserve)"))
     print()
-    print(format_series(results.queue_series["general"],
+    print(format_series(stats.queue_series["general"],
                         "general-pool queue (quick requests protected)"))
     print()
-    print(format_series(results.queue_series["lengthy"],
+    print(format_series(stats.queue_series["lengthy"],
                         "lengthy-pool queue (absorbing the stampede)"))
 
     quick_pages = ("/home", "/product_detail", "/search_request")
-    response_times = results.mean_response_times()
+    response_times = stats.mean_response_times()
     print("\nquick pages under the stampede:")
     for page in quick_pages:
         if page in response_times:

@@ -6,7 +6,7 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.reserve import ReserveController
-from repro.sim.results import SimResults
+from repro.server.stats import ServerStats
 from repro.sim.workload import (
     DEFAULT_PROFILES,
     LENGTHY_REPORT_PAGES,
@@ -93,30 +93,32 @@ class ExperimentRunner:
     """Runs (and memoizes) the baseline/staged pair behind §4.
 
     All of Table 3, Table 4, and Figures 7–10 come from the same two
-    simulated one-hour runs, exactly as in the paper.
+    simulated one-hour runs, exactly as in the paper, read from each
+    run's ``ServerStats``.
     """
 
     def __init__(self, config: Optional[WorkloadConfig] = None,
                  profiles: Optional[Dict[str, PageProfile]] = None):
         self.config = config if config is not None else WorkloadConfig()
         self.profiles = profiles if profiles is not None else DEFAULT_PROFILES
-        self._results: Dict[str, SimResults] = {}
+        self._results: Dict[str, ServerStats] = {}
 
-    def results(self, kind: str) -> SimResults:
+    def results(self, kind: str) -> ServerStats:
+        """The stats of one simulated run, ``baseline`` or ``staged``."""
         if kind not in ("baseline", "staged"):
             raise ValueError(f"unknown server kind {kind!r}")
         if kind not in self._results:
             self._results[kind] = run_tpcw_simulation(
                 kind, self.config, profiles=self.profiles
-            )
+            ).stats
         return self._results[kind]
 
     @property
-    def baseline(self) -> SimResults:
+    def baseline(self) -> ServerStats:
         return self.results("baseline")
 
     @property
-    def staged(self) -> SimResults:
+    def staged(self) -> ServerStats:
         return self.results("staged")
 
     # ------------------------------------------------------------------
@@ -136,8 +138,8 @@ class ExperimentRunner:
     # Table 4: per-page completed interactions + overall gain
     # ------------------------------------------------------------------
     def table4(self) -> Dict[str, Tuple[int, int]]:
-        base = self.baseline.completions
-        staged = self.staged.completions
+        base = self.baseline.completions()
+        staged = self.staged.completions()
         rows = {}
         for path, name in PAPER_PAGE_NAMES.items():
             if path in base or path in staged:
@@ -169,9 +171,12 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     def figure9(self, bucket_seconds: float = 60.0
                 ) -> Tuple[TimeSeries, TimeSeries]:
+        start, end = self.config.window
         return (
-            self.baseline.throughput_series(bucket_seconds),
-            self.staged.throughput_series(bucket_seconds),
+            self.baseline.throughput_series(bucket_seconds, start=start,
+                                            end=end),
+            self.staged.throughput_series(bucket_seconds, start=start,
+                                          end=end),
         )
 
     # ------------------------------------------------------------------
@@ -181,13 +186,15 @@ class ExperimentRunner:
 
     def figure10(self, bucket_seconds: float = 60.0
                  ) -> Dict[str, Tuple[TimeSeries, TimeSeries]]:
-        out = {}
-        for request_class in self.FIGURE10_CLASSES:
-            out[request_class] = (
-                self.baseline.throughput_series(bucket_seconds, request_class),
-                self.staged.throughput_series(bucket_seconds, request_class),
+        start, end = self.config.window
+        return {
+            request_class: tuple(
+                stats.throughput_series(bucket_seconds, request_class,
+                                        start=start, end=end)
+                for stats in (self.baseline, self.staged)
             )
-        return out
+            for request_class in self.FIGURE10_CLASSES
+        }
 
     # ------------------------------------------------------------------
     # Shape checks (the acceptance criteria from DESIGN.md §4)

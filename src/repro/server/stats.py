@@ -1,33 +1,36 @@
-"""Server-side metrics: completions, response times, queue samples.
+"""The metrics sink: completions, response times, queue samples.
 
-Feeds the experiment harness with exactly what the paper reports:
-per-page completion counts (Table 4), per-page response-time averages
-(Table 3 is measured client-side; the server keeps its own view), and
-queue-length time series for each pool (Figures 7–8) — plus, beyond
-the paper, per-stage queue-wait/service-time breakdowns with
-percentiles, so the Figure 7/8 queue story is measurable per request
-(where did a request's latency go: header vs. general vs. render?).
+One :class:`ServerStats` records everything the paper reports, for the
+live servers and the simulator alike: per-page completion counts
+(Table 4), per-page response-time averages (Table 3), queue-length
+time series for each pool (Figures 7–8), and completed requests per
+whole second of run time for the throughput curves (Figures 9–10) —
+plus, beyond the paper, per-stage queue-wait/service-time breakdowns
+with percentiles, so the Figure 7/8 queue story is measurable per
+request (where did a request's latency go: header vs. general vs.
+render?).  The simulator builds one on a simulated clock and applies
+its measurement window where it records.
 
 Request classes are the :class:`repro.core.classifier.RequestClass`
-enum end-to-end.  Per-class completion series keep the labels the
-simulator and the figure-10 exports have always used: ``static``,
-``dynamic`` (all dynamic requests), and the refined ``quick`` /
-``lengthy`` — a dynamic completion is recorded under both ``dynamic``
-and its refined label, mirroring :mod:`repro.sim.results`.
+enum end-to-end.  Per-class throughput keeps the labels the figure-10
+exports have always used: ``static``, ``dynamic`` (all dynamic
+requests), and the refined ``quick`` / ``lengthy`` — a dynamic
+completion is counted under both ``dynamic`` and its refined label.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter, defaultdict
 from typing import Dict, Optional, Union
 
 from repro.core.classifier import RequestClass
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.timeseries import SummaryAccumulator, TimeSeries, WelfordAccumulator
 
-#: Per-class event-series labels for each request class.  Dynamic
-#: classes record under "dynamic" *and* their refined label, exactly as
-#: the simulator records each dynamic completion twice (Figure 10 b–d).
+#: Per-class throughput labels for each request class.  Dynamic
+#: classes count under "dynamic" *and* their refined label (Figure
+#: 10 b–d).
 CLASS_SERIES_LABELS: Dict[RequestClass, tuple] = {
     RequestClass.STATIC: ("static",),
     RequestClass.QUICK_DYNAMIC: ("dynamic", "quick"),
@@ -47,8 +50,10 @@ class ServerStats:
         self._generation_times: Dict[str, WelfordAccumulator] = {}
         self._stage_queue_waits: Dict[str, SummaryAccumulator] = {}
         self._stage_services: Dict[str, SummaryAccumulator] = {}
-        self._completion_events = TimeSeries("completions")
-        self._class_events: Dict[str, TimeSeries] = {}
+        # Completed requests per whole second of run time, per class
+        # label; the None label counts every request (Figure 9).
+        self._request_counts: Dict[Optional[str], Counter] = \
+            defaultdict(Counter)
         self.queue_series: Dict[str, TimeSeries] = {}
         self.spare_series = TimeSeries("general-spare")
         self.treserve_series = TimeSeries("treserve")
@@ -84,22 +89,29 @@ class ServerStats:
     def record_completion(self, page: str,
                           request_class: Union[RequestClass, str],
                           response_seconds: float) -> None:
-        """One finished web interaction."""
+        """One finished live request: its interaction and its request."""
+        self.record_interaction(page, response_seconds)
+        self.record_request(request_class)
+
+    def record_interaction(self, page: str, response_seconds: float) -> None:
+        """One finished web interaction: its page's completion count and
+        response time (Tables 3–4)."""
         with self._lock:
-            now = self.clock.now() - self.started_at
             self._completions[page] = self._completions.get(page, 0) + 1
             accumulator = self._response_times.get(page)
             if accumulator is None:
                 accumulator = SummaryAccumulator(page)
                 self._response_times[page] = accumulator
             accumulator.add(response_seconds)
-            self._completion_events.append(now, 1.0)
+
+    def record_request(self, request_class: Union[RequestClass, str]) -> None:
+        """One completed HTTP request, counted in its whole second of run
+        time in total and under its class labels (Figures 9–10)."""
+        with self._lock:
+            second = int(self.clock.now() - self.started_at)
+            self._request_counts[None][second] += 1
             for label in self._class_labels(request_class):
-                series = self._class_events.get(label)
-                if series is None:
-                    series = TimeSeries(f"completions/{label}")
-                    self._class_events[label] = series
-                series.append(now, 1.0)
+                self._request_counts[label][second] += 1
 
     def record_generation_time(self, page: str, seconds: float) -> None:
         """Data-generation time for a dynamic page (server-side view)."""
@@ -362,24 +374,34 @@ class ServerStats:
             for stage in waits
         }
 
-    def throughput_series(self, bucket_seconds: float = 60.0) -> TimeSeries:
-        """Completions per bucket over the run (paper's Figure 9 shape)."""
-        return self._completion_events.bucketize(bucket_seconds)
+    def throughput_series(self, bucket_seconds: float = 60.0,
+                          request_class: Union[RequestClass, str,
+                                               None] = None,
+                          start: float = 0.0,
+                          end: Optional[float] = None) -> TimeSeries:
+        """Completed requests per bucket of run time in ``[start, end)``:
+        every request (Figure 9), or one class's (Figure 10).
 
-    def class_throughput_series(self, request_class: Union[RequestClass, str],
-                                bucket_seconds: float = 60.0) -> TimeSeries:
-        """Per-class completions per bucket (Figure 10).
-
-        Accepts either a series label (``"static"``, ``"dynamic"``,
+        ``request_class`` is a label (``"static"``, ``"dynamic"``,
         ``"quick"``, ``"lengthy"``) or a :class:`RequestClass`, which
-        resolves to its refined label.
+        resolves to its refined label.  Counts are kept per whole
+        second, so the bucket width and the window edges must be whole
+        seconds.  Without ``end`` the series runs through the last
+        counted second, and is empty when nothing was counted.
         """
-        if isinstance(request_class, RequestClass):
-            label = self._class_labels(request_class)[-1]
-        else:
-            label = request_class
+        if any(edge % 1 for edge in (bucket_seconds, start, end or 0)):
+            raise ValueError(
+                f"throughput buckets need whole-second width and edges, "
+                f"got width {bucket_seconds} over [{start}, {end})"
+            )
+        label = (None if request_class is None
+                 else self._class_labels(request_class)[-1])
         with self._lock:
-            series = self._class_events.get(label)
-        if series is None:
-            return TimeSeries(f"completions/{label}")
-        return series.bucketize(bucket_seconds)
+            counts = sorted(self._request_counts.get(label, {}).items())
+        per_second = TimeSeries("completions" if label is None
+                                else f"completions/{label}")
+        if not counts and end is None:
+            return per_second
+        for second, count in counts:
+            per_second.append(second, count)
+        return per_second.bucketize(bucket_seconds, start=start, end=end)

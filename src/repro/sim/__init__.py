@@ -9,9 +9,9 @@ queueing system in simulated time:
   (event heap, processes, one-shot events).
 - :mod:`repro.sim.resources` — simulated thread pools (token resources
   whose waiter queues are the plotted queue lengths), a
-  processor-sharing server for the database host, and a FIFO
-  shared/exclusive table-lock manager mirroring
-  :mod:`repro.db.locks`.
+  processor-sharing server for the database host, and reader-preference
+  table locks with writer grace periods (DESIGN.md §6 says why they
+  differ from :mod:`repro.db.locks`).
 - :mod:`repro.sim.server` — :class:`SimServer`, one hop loop that
   walks the live servers' stage table
   (:mod:`repro.core.topology`): thread-per-request, the five-pool
@@ -25,8 +25,14 @@ queueing system in simulated time:
 - :mod:`repro.sim.workload` — per-page service-demand profiles
   (derived from profiling the real TPC-W implementation, see
   :mod:`repro.tpcw.profile`) and the closed-loop emulated browsers.
-- :mod:`repro.sim.results` — metric collection for every table and
-  figure in the paper's Section 4.
+
+Metrics have one sink in both worlds.  :func:`run_tpcw_simulation`
+returns its :class:`SimServer`, read as a live server is:
+``server.stats`` is the live :class:`repro.server.stats.ServerStats`
+on simulated time, with the paper's measurement window (ramp-up and
+cool-down excluded) applied where the simulator records;
+``server.connection_pool.utilization_report()`` and
+``server.policies`` report connections and chaos runs.
 """
 
 from repro.sim.kernel import Simulation, SimEvent
@@ -37,7 +43,6 @@ from repro.sim.resources import (
     SimLockTable,
     SimThreadPool,
 )
-from repro.sim.results import SimResults
 from repro.sim.server import SimServer
 from repro.sim.workload import (
     DEFAULT_PROFILES,
@@ -54,7 +59,6 @@ __all__ = [
     "SimLease",
     "SimLockTable",
     "SimThreadPool",
-    "SimResults",
     "SimServer",
     "DEFAULT_PROFILES",
     "PageProfile",

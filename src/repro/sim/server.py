@@ -4,12 +4,13 @@ Every simulated topology is a :class:`repro.core.topology.Topology`,
 the same table the live servers declare their stages from, so pool
 names, sizes, and which stages hold a database connection cannot
 drift between the two worlds.  All topologies share one substrate — a
-processor-sharing database host, a processor-sharing web host, FIFO
-table locks — and one request path: :meth:`SimServer._hop` mirrors
-``Pipeline._execute`` for every stage a request visits.  The staged
-tables embed the *real* :class:`repro.core.SchedulingPolicy`:
-dispatch decisions, the service-time tracker, and the treserve
-controller run the production code against simulated time.
+processor-sharing database host, a processor-sharing web host,
+reader-preference table locks with writer grace periods — and one
+request path: :meth:`SimServer._hop` mirrors ``Pipeline._execute`` for
+every stage a request visits.  The staged tables embed the *real*
+:class:`repro.core.SchedulingPolicy`: dispatch decisions, the
+service-time tracker, and the treserve controller run the production
+code against simulated time.
 
 Faults run the live code too: each site calls
 :meth:`repro.faults.plan.FaultPlan.inject` and yields the seconds the
@@ -17,6 +18,14 @@ live code would sleep, the breaker, deadline, and retry schedule are a
 :class:`repro.faults.policies.Resilience`, and a request is abandoned
 on the exceptions the live server turns into an error response.  Only
 the two socket sites decide here, as the live sockets do.
+
+Metrics go to the live sink: ``server.stats`` is a
+:class:`repro.server.stats.ServerStats` on the simulated clock, and
+``server.connection_pool`` and ``server.policies`` report as a live
+:class:`repro.server.pipeline.PipelineServer`'s do.  The simulator's
+measurement window (ramp-up and cool-down excluded) is applied where
+it records: interactions, generation times, stage timings, and leases
+count only inside the window; samples span the whole run.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ from repro.faults.plan import (
 )
 from repro.faults.policies import Resilience, ResilienceConfig
 from repro.server.pipeline import DONE
+from repro.server.resources import LeaseStrategy
 from repro.server.stats import ServerStats
 from repro.sim.faults import SimClockAdapter
 from repro.sim.kernel import SimEvent, Simulation
@@ -58,7 +68,6 @@ from repro.sim.resources import (
     SimLockTable,
     SimThreadPool,
 )
-from repro.sim.results import SimResults
 from repro.sim.workload import (
     DEFAULT_PROFILES,
     PageProfile,
@@ -101,11 +110,12 @@ class SimServer:
     """
 
     def __init__(self, sim: Simulation, config: WorkloadConfig,
-                 results: SimResults, topology: Topology,
+                 topology: Topology,
                  policy: Optional[SchedulingPolicy] = None,
                  shortest_job_first: bool = False):
         self.sim = sim
-        self.results = results
+        self.config = config
+        self.stats = ServerStats(SimClockAdapter(sim))
         self.topology = topology
         self.policy = policy
         self.db = PSServer(sim, "database", cores=config.db_cores)
@@ -118,7 +128,8 @@ class SimServer:
         #: connection per lease-holding thread; leases meter held vs.
         #: query-busy time so the sim reports the same connection busy
         #: fraction the live servers export.
-        self.connections = SimConnectionPool(sim, topology.leased_threads)
+        self.connection_pool = SimConnectionPool(sim,
+                                                 topology.leased_threads)
         #: Per-page mean generation time: the policy's classifier input,
         #: and the SJF queue key.
         self.tracker = (policy.tracker if policy is not None
@@ -133,17 +144,16 @@ class SimServer:
 
     @classmethod
     def for_kind(cls, kind: str, sim: Simulation, config: WorkloadConfig,
-                 results: SimResults,
                  dispatcher: Optional[Dispatcher] = None) -> "SimServer":
         """``baseline``, ``sjf``, ``staged``, or ``staged-render-inline``."""
         if kind in ("baseline", "sjf"):
-            return cls(sim, config, results,
+            return cls(sim, config,
                        thread_per_request_topology(config.baseline_workers),
                        shortest_job_first=(kind == "sjf"))
         if kind in ("staged", "staged-render-inline"):
             staged = policy_config(config)
             topology = staged_topology(staged, render_stage=(kind == "staged"))
-            return cls(sim, config, results, topology,
+            return cls(sim, config, topology,
                        policy=SchedulingPolicy(staged, dispatcher=dispatcher))
         raise ValueError(f"unknown server kind {kind!r}")
 
@@ -155,9 +165,8 @@ class SimServer:
         The plan should be built with :func:`repro.sim.faults.
         sim_fault_plan` so its schedule windows read the sim clock.
         """
-        clock = SimClockAdapter(self.sim)
-        self.policies = Resilience(plan, resilience, ServerStats(clock),
-                                   clock)
+        self.policies = Resilience(plan, resilience, self.stats,
+                                   self.stats.clock)
         return self.policies
 
     # ------------------------------------------------------------------
@@ -191,10 +200,10 @@ class SimServer:
             # completion.
             return
         if profile is None:
-            self.results.record_request(self.sim.now, "static")
+            self.stats.record_request("static")
             return
-        self.results.record_request(self.sim.now, "dynamic")
-        self.results.record_request(self.sim.now, _report_class(page))
+        self.stats.record_request("dynamic")
+        self.stats.record_request(_report_class(page))
 
     def _hop(self, name: str, profile: Optional[PageProfile], jitter: float,
              static_demand: float, arrival: float):
@@ -210,8 +219,11 @@ class SimServer:
         priority = 0.0
         if self.shortest_job_first and page:
             priority = self.tracker.mean_time(page) or 0.0
+        requested = self.sim.now
         yield pool.acquire(tag="dynamic" if page else "static",
                            priority=priority)
+        started = self.sim.now
+        lease = None
         try:
             if policies is not None:
                 # The live job carries no page key until the entry
@@ -222,7 +234,7 @@ class SimServer:
                 except WorkerCrashError:
                     # Live: the crash escapes into the pool's error
                     # handler, which counts it.
-                    policies.stats.record_worker_crash(name)
+                    self.stats.record_worker_crash(name)
                     raise
                 policies.check_deadline(name, self.sim.now - arrival)
                 if entry and policies.plan.decide(
@@ -233,9 +245,8 @@ class SimServer:
                     with policies.checkout(name):
                         yield from self._inject(SITE_POOL_ACQUIRE, page,
                                                 name)
-            lease = None
             if spec.holds_lease:
-                lease = self.connections.lease(tag=name)
+                lease = self.connection_pool.lease(tag=name)
                 yield lease.granted
             try:
                 return (yield from self._body(name, profile, jitter,
@@ -245,6 +256,22 @@ class SimServer:
                     lease.release()
         finally:
             pool.release()
+            self._record_hop(name, started - requested, started, lease)
+
+    def _record_hop(self, name: str, queue_wait: float, started: float,
+                    lease) -> None:
+        """The hop's stage timing and connection lease, as the live
+        pipeline and lease manager record them."""
+        now = self.sim.now
+        if not self.config.in_window(now):
+            return
+        self.stats.record_stage_timing(name, queue_wait, now - started)
+        if lease is not None:
+            self.stats.record_lease(
+                name, LeaseStrategy.LEASED_PER_REQUEST.value,
+                lease.granted_at - lease.requested_at,
+                now - lease.granted_at, lease.busy_seconds,
+            )
 
     def _inject(self, site: str, page: str, stage: str):
         """A fault site on sim time: yield what the live code sleeps,
@@ -277,8 +304,9 @@ class SimServer:
             # Feed the classifier at the moment the unrendered template
             # would be enqueued, exactly as the live server does (§3.3).
             self.tracker.record(profile.path, generation_seconds)
-            self.results.record_generation(self.sim.now, profile.path,
-                                           generation_seconds)
+            if self.config.in_window(self.sim.now):
+                self.stats.record_generation_time(profile.path,
+                                                  generation_seconds)
             if "render" in self.topology:
                 return "render"
         if profile.render_demand > 0:
@@ -332,8 +360,11 @@ class SimServer:
         lease.note_busy(self.sim.now - query_started)
 
     # ------------------------------------------------------------------
-    def sample(self, results: SimResults) -> None:
+    def sample(self) -> None:
+        """The 1 Hz sampler: treserve tick, reserve, queues, and
+        database occupancy, recorded as the live sampler does."""
         now = self.sim.now
+        stats = self.stats
         if self.policy is not None:
             tspare = self.pools["general"].spare
             # The once-per-second treserve update (§3.3) rides the
@@ -343,13 +374,13 @@ class SimServer:
             if now - self._last_tick >= interval - 1e-9:
                 self.policy.tick(tspare)
                 self._last_tick = now
-            results.sample_reserve(now, tspare, self.policy.treserve)
+            stats.sample_reserve(tspare, self.policy.treserve)
         entry = self.topology.entry
         if self.topology[entry].holds_lease:
             # Figure 7 plots queued *dynamic* requests on the single
             # thread-per-request queue.
-            results.sample_queue(now, "dynamic",
-                                 self.pools[entry].queued_with_tag("dynamic"))
+            stats.sample_queue("dynamic",
+                               self.pools[entry].queued_with_tag("dynamic"))
         for name, pool in self.pools.items():
-            results.sample_queue(now, name, pool.queue_length)
-        results.sample_db(now, self.db.active_jobs)
+            stats.sample_queue(name, pool.queue_length)
+        stats.sample_queue("db-active", self.db.active_jobs)

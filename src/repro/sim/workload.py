@@ -17,12 +17,14 @@ Everything is driven by seeded streams; runs are bit-reproducible.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.sim.kernel import Simulation
-from repro.sim.results import SimResults
 from repro.tpcw.mix import BROWSING_MIX, BrowsingMix
 from repro.util.rng import RandomStream
+
+if TYPE_CHECKING:
+    from repro.sim.server import SimServer
 
 #: Pages whose data generation is inherently lengthy (the paper's three
 #: "large and very complex queries" plus the locking admin page).  Used
@@ -177,6 +179,18 @@ class WorkloadConfig:
     def duration(self) -> float:
         return self.ramp_up + self.measure + self.cool_down
 
+    @property
+    def window(self) -> Tuple[float, float]:
+        """The measurement window ``[start, end)``: the paper excludes
+        "the first five-minute ramp up time and the last five-minute
+        cool down time" from completions and response times, while
+        sampled series span the whole run."""
+        return self.ramp_up, self.ramp_up + self.measure
+
+    def in_window(self, now: float) -> bool:
+        start, end = self.window
+        return start <= now < end
+
     @classmethod
     def paper(cls, **overrides) -> "WorkloadConfig":
         """The full paper-scale run (400 EBs, 50 min measured)."""
@@ -217,7 +231,7 @@ def run_tpcw_simulation(server_kind: str,
                         dispatcher=None,
                         fault_rules=None,
                         fault_seed: int = 0,
-                        resilience=None) -> SimResults:
+                        resilience=None) -> "SimServer":
     """Run one complete simulated TPC-W experiment.
 
     ``server_kind`` picks the stage table (see
@@ -225,14 +239,18 @@ def run_tpcw_simulation(server_kind: str,
     (thread-per-request), ``"staged"`` (the paper's five-pool design),
     ``"staged-render-inline"`` (no render pool), or ``"sjf"``
     (thread-per-request with a shortest-job-first queue).  Returns the
-    :class:`SimResults` with everything the harness needs.
+    :class:`~repro.sim.server.SimServer` after the run; read it as a
+    live server: ``server.stats`` (a ``ServerStats``, windowed as
+    :attr:`WorkloadConfig.window` says), ``server.connection_pool.
+    utilization_report()``, and ``server.policies``.
 
     ``fault_rules`` (a sequence of :class:`repro.faults.plan.FaultRule`)
     turns the run into a chaos experiment: the rules are evaluated on
     simulated time at the same injection points the live servers
     expose, with ``resilience`` (a :class:`ResilienceConfig`) governing
-    deadlines, retry, and the circuit breaker.  The results object then
-    carries ``fault_report`` and ``resilience_report`` attributes.
+    deadlines, retry, and the circuit breaker; ``server.policies.plan.
+    fault_report()`` and ``server.stats.resilience_report()`` then
+    report them.
     """
     from repro.sim.server import SimServer
 
@@ -245,19 +263,13 @@ def run_tpcw_simulation(server_kind: str,
         raise ValueError(f"profiles missing for pages: {sorted(missing)}")
 
     sim = Simulation()
-    results = SimResults(
-        measure_start=config.ramp_up,
-        measure_end=config.ramp_up + config.measure,
-    )
-    server = SimServer.for_kind(server_kind, sim, config, results,
+    server = SimServer.for_kind(server_kind, sim, config,
                                 dispatcher=dispatcher)
-
-    policies = None
     if fault_rules is not None:
         from repro.sim.faults import sim_fault_plan
 
         plan = sim_fault_plan(sim, fault_rules, seed=fault_seed)
-        policies = server.configure_faults(plan, resilience)
+        server.configure_faults(plan, resilience)
 
     for index in range(config.clients):
         rng = RandomStream(config.seed, f"browser-{index}")
@@ -265,22 +277,18 @@ def run_tpcw_simulation(server_kind: str,
             rng, customers=config.customers, items=config.items,
             weights=config.mix_weights,
         )
-        sim.spawn(_browser(sim, server, mix, profiles, results, config, rng))
-    sim.spawn(_sampler(sim, server, results, config))
+        sim.spawn(_browser(sim, server, mix, profiles, config, rng))
+    sim.spawn(_sampler(sim, server, config))
 
-    sim.run(until=config.duration)
     # In-flight leases at cut-off are simply not counted (same rule as
     # the live report: completed checkouts only).
-    results.connection_report = server.connections.utilization_report()
-    if policies is not None:
-        results.fault_report = policies.plan.fault_report()
-        results.resilience_report = policies.stats.resilience_report()
-    return results
+    sim.run(until=config.duration)
+    return server
 
 
 def _browser(sim: Simulation, server, mix: BrowsingMix,
-             profiles: Dict[str, PageProfile], results: SimResults,
-             config: WorkloadConfig, rng: RandomStream):
+             profiles: Dict[str, PageProfile], config: WorkloadConfig,
+             rng: RandomStream):
     """One emulated browser: page, embedded images, think, repeat."""
     # Staggered arrival over the ramp-up window.
     yield rng.uniform(0.0, max(config.ramp_up, 1.0) * 0.9)
@@ -292,13 +300,13 @@ def _browser(sim: Simulation, server, mix: BrowsingMix,
         yield server.submit_page(profile, jitter)
         for _ in range(profile.images):
             yield server.submit_static(STATIC_DEMAND)
-        results.record_interaction(sim.now, path, sim.now - started)
+        if config.in_window(sim.now):
+            server.stats.record_interaction(path, sim.now - started)
         yield rng.think_time(*config.think_range)
 
 
-def _sampler(sim: Simulation, server, results: SimResults,
-             config: WorkloadConfig):
+def _sampler(sim: Simulation, server, config: WorkloadConfig):
     """1 Hz sampling of queues, tspare/treserve, and DB occupancy."""
     while sim.now < config.duration:
         yield config.sample_interval
-        server.sample(results)
+        server.sample()

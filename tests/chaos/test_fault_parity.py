@@ -33,7 +33,6 @@ from repro.server.resources import LeaseStrategy
 from repro.server.staged import StagedServer
 from repro.sim.faults import sim_fault_plan
 from repro.sim.kernel import Simulation
-from repro.sim.results import SimResults
 from repro.sim.server import SimServer
 from repro.sim.workload import PageProfile, WorkloadConfig
 from repro.templates.engine import TemplateEngine
@@ -172,7 +171,7 @@ def run_sim(topology, rules=PARITY_RULES):
     """The same script through the SimServer on the same stage table."""
     sim = Simulation()
     config = WorkloadConfig.quick(seed=PARITY_SEED)
-    server = SimServer.for_kind(topology, sim, config, SimResults())
+    server = SimServer.for_kind(topology, sim, config)
     policies = server.configure_faults(
         sim_fault_plan(sim, rules, seed=PARITY_SEED),
         PARITY_RESILIENCE,

@@ -14,7 +14,6 @@ from repro.server.app import Application
 from repro.server.baseline import BaselineServer
 from repro.server.staged import StagedServer
 from repro.sim.kernel import Simulation
-from repro.sim.results import SimResults
 from repro.sim.server import SimServer
 from repro.sim.workload import WorkloadConfig
 
@@ -73,17 +72,17 @@ def test_live_and_sim_staged_servers_build_the_same_stages(render_stage):
     live = StagedServer(app, ConnectionPool(Database(), 5),
                         policy=SchedulingPolicy(CONFIG),
                         render_inline=not render_stage)
-    sim = SimServer(Simulation(), WorkloadConfig(), SimResults(),
+    sim = SimServer(Simulation(), WorkloadConfig(),
                     staged_topology(CONFIG, render_stage=render_stage),
                     policy=SchedulingPolicy(CONFIG))
     assert live.topology == sim.topology
     assert live_rows(live) == sim_rows(sim)
-    assert sim.connections.size == live.topology.leased_threads
+    assert sim.connection_pool.size == live.topology.leased_threads
 
 
 def test_live_and_sim_thread_per_request_build_the_same_stages():
     live = BaselineServer(Application(), ConnectionPool(Database(), 3))
     sim = SimServer.for_kind("baseline", Simulation(),
-                             WorkloadConfig(baseline_workers=3), SimResults())
+                             WorkloadConfig(baseline_workers=3))
     assert live.topology == sim.topology
     assert live_rows(live) == sim_rows(sim) == [("worker", 3, True)]

@@ -152,6 +152,80 @@ class TestServerStatsDocument:
         assert loaded["connection_utilization"]["lengthy"]["leases"] == 2
 
 
+#: Stats-document fields keyed by data (pages, stages, series names,
+#: fault sites, breaker states) rather than by the document's schema.
+KEYED_BY_DATA = frozenset({
+    "completions", "response_times", "generation_times", "stage_timings",
+    "queue_series", "connection_utilization", "stages", "faults_injected",
+    "transitions",
+})
+
+
+def key_structure(value, key=None):
+    """A document's nested key structure: schema dicts keep their keys,
+    a dict keyed by data becomes the set of its entries' structures,
+    and leaves become their kind."""
+    if isinstance(value, dict):
+        if key in KEYED_BY_DATA:
+            return sorted({repr(key_structure(entry))
+                           for entry in value.values()})
+        return {name: key_structure(entry, name)
+                for name, entry in value.items()}
+    if isinstance(value, list):
+        return "list"
+    if isinstance(value, str):
+        return "str"
+    return "number"
+
+
+class TestLiveAndSimulatedDocuments:
+    def test_same_nested_key_structure(self):
+        """One sink, one document: a simulated run and a live run
+        export the same shape through ``server_stats_document``."""
+        from repro.core.policy import PolicyConfig, SchedulingPolicy
+        from repro.db.engine import Database
+        from repro.db.pool import ConnectionPool
+        from repro.harness.export import server_stats_document
+        from repro.http.client import http_request
+        from repro.server.staged import StagedServer
+        from repro.sim.workload import run_tpcw_simulation
+        from repro.tpcw.app import TPCWApplication
+        from repro.tpcw.population import PopulationScale, populate
+        from repro.tpcw.schema import create_schema
+        from tests.sim.test_workload_server import fast_profiles, tiny_config
+
+        simulated = run_tpcw_simulation("staged", tiny_config(),
+                                        profiles=fast_profiles())
+
+        database = Database()
+        create_schema(database)
+        populate(database, PopulationScale.tiny())
+        live = StagedServer(
+            TPCWApplication(database, bestseller_window=50),
+            ConnectionPool(database, 12),
+            policy=SchedulingPolicy(PolicyConfig(
+                general_pool_size=8, lengthy_pool_size=2,
+                minimum_reserve=2, header_pool_size=3, static_pool_size=3,
+                render_pool_size=3,
+            )),
+        ).start()
+        try:
+            host, port = live.address
+            for path in ("/home?c_id=1&i_id=1", "/best_sellers?subject=ARTS",
+                         "/img/thumb_1.gif"):
+                assert http_request(host, port, path).status == 200
+            live.pipeline.sample_queues()
+        finally:
+            live.stop()  # pinned leases return at worker shutdown
+
+        live_document = server_stats_document(live.stats)
+        sim_document = server_stats_document(simulated.stats)
+        for document in (live_document, sim_document):
+            assert document["stage_timings"]
+            assert document["connection_utilization"]
+        assert key_structure(live_document) == key_structure(sim_document)
+
+
 class TestBenchExport:
     def test_nothing_written_without_the_opt_in(self, tmp_path, monkeypatch):
         from repro.harness.export import export_bench_json

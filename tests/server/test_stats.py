@@ -61,6 +61,10 @@ class TestStageTimings:
         assert stats.stage_timing_summary() == {}
 
 
+def counted(stats, request_class):
+    return sum(stats.throughput_series(request_class=request_class).values)
+
+
 class TestClassLabels:
     """Dynamic classes record under 'dynamic' *and* their refined
     label, matching the simulator's Figure 10 convention; exported
@@ -68,29 +72,41 @@ class TestClassLabels:
 
     def test_static_records_one_series(self, stats):
         stats.record_completion("/x.gif", RequestClass.STATIC, 0.01)
-        assert sum(stats.class_throughput_series("static").values) == 1.0
-        assert len(stats.class_throughput_series("dynamic")) == 0
+        assert counted(stats, "static") == 1.0
+        assert len(stats.throughput_series(request_class="dynamic")) == 0
 
     def test_quick_records_dynamic_and_quick(self, stats):
         stats.record_completion("/a", RequestClass.QUICK_DYNAMIC, 0.1)
-        assert sum(stats.class_throughput_series("dynamic").values) == 1.0
-        assert sum(stats.class_throughput_series("quick").values) == 1.0
-        assert len(stats.class_throughput_series("lengthy")) == 0
+        assert counted(stats, "dynamic") == 1.0
+        assert counted(stats, "quick") == 1.0
+        assert len(stats.throughput_series(request_class="lengthy")) == 0
 
     def test_lengthy_records_dynamic_and_lengthy(self, stats):
         stats.record_completion("/slow", RequestClass.LENGTHY_DYNAMIC, 3.0)
-        assert sum(stats.class_throughput_series("dynamic").values) == 1.0
-        assert sum(stats.class_throughput_series("lengthy").values) == 1.0
+        assert counted(stats, "dynamic") == 1.0
+        assert counted(stats, "lengthy") == 1.0
 
     def test_enum_resolves_to_refined_series(self, stats):
         stats.record_completion("/slow", RequestClass.LENGTHY_DYNAMIC, 3.0)
-        series = stats.class_throughput_series(RequestClass.LENGTHY_DYNAMIC)
-        assert sum(series.values) == 1.0
+        assert counted(stats, RequestClass.LENGTHY_DYNAMIC) == 1.0
 
     def test_plain_string_class_still_accepted(self, stats):
         # Legacy callers (and ad-hoc tooling) may pass a bare label.
         stats.record_completion("/a", "dynamic", 0.1)
-        assert sum(stats.class_throughput_series("dynamic").values) == 1.0
+        assert counted(stats, "dynamic") == 1.0
+
+    def test_completion_is_interaction_plus_request(self, stats):
+        """Live servers record both halves at once; the simulator
+        records the interaction per page view and the request per HTTP
+        request."""
+        stats.record_completion("/a", RequestClass.QUICK_DYNAMIC, 0.5)
+        stats.record_interaction("/a", 1.5)
+        stats.record_request(RequestClass.STATIC)
+        assert stats.completions() == {"/a": 2}
+        assert stats.mean_response_times() == {"/a": 1.0}
+        assert counted(stats, None) == 2.0
+        assert counted(stats, "quick") == 1.0
+        assert counted(stats, "static") == 1.0
 
 
 class TestSeries:
@@ -120,11 +136,33 @@ class TestSeries:
     def test_class_throughput_series(self, stats):
         stats.record_completion("/a", RequestClass.STATIC, 0.1)
         stats.record_completion("/b", RequestClass.QUICK_DYNAMIC, 0.1)
-        static = stats.class_throughput_series("static", 60.0)
+        static = stats.throughput_series(60.0, "static")
         assert sum(static.values) == 1.0
 
     def test_unknown_class_empty(self, stats):
-        assert len(stats.class_throughput_series("nope")) == 0
+        assert len(stats.throughput_series(request_class="nope")) == 0
+
+    def test_counts_per_whole_second_rebucket(self, stats):
+        """Completions are counted per second of run time (memory
+        grows with run length, not throughput) and summed into
+        buckets on read."""
+        for at in (0.25, 0.5, 1.75, 59.9, 60.0, 119.99):
+            stats.clock.advance(at - stats.clock.now())
+            stats.record_request(RequestClass.STATIC)
+        assert stats.throughput_series(60.0).values == [4.0, 2.0]
+        assert stats.throughput_series(1.0, start=59.0, end=61.0).values \
+            == [1.0, 1.0]
+        assert stats.throughput_series(30.0, end=120.0).times == \
+            [0.0, 30.0, 60.0, 90.0]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"bucket_seconds": 0.5}, {"bucket_seconds": 90.25},
+        {"start": 10.5}, {"end": 60.5}, {"bucket_seconds": 0.0},
+    ])
+    def test_partial_seconds_rejected(self, stats, kwargs):
+        stats.record_request(RequestClass.STATIC)
+        with pytest.raises(ValueError):
+            stats.throughput_series(**kwargs)
 
 
 class TestConnectionGauges:
@@ -175,6 +213,8 @@ class TestThreadSafety:
         total = threads_n * records_n
         assert stats.total_completions() == total
         assert stats.completions()["/a"] == total
+        assert sum(stats.throughput_series(1.0).values) == total
+        assert sum(stats.throughput_series(1.0, "quick").values) == total
         # Identical samples: a corrupted Welford state would drift.
         assert stats.mean_response_times()["/a"] == pytest.approx(0.25)
         assert stats.mean_generation_times()["/a"] == pytest.approx(0.125)

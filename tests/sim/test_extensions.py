@@ -66,9 +66,9 @@ class TestPriorityPool:
 
 class TestSJFServer:
     def test_runs_and_completes(self):
-        results = run_tpcw_simulation("sjf", tiny_config(),
-                                      profiles=fast_profiles())
-        assert results.total_completions() > 50
+        stats = run_tpcw_simulation("sjf", tiny_config(),
+                                    profiles=fast_profiles()).stats
+        assert stats.total_completions() > 50
 
     def test_learns_sizes_and_favours_quick(self):
         """With learned size estimates, quick pages must beat the FIFO
@@ -78,8 +78,8 @@ class TestSJFServer:
         sjf = run_tpcw_simulation("sjf", config, profiles=profiles)
         fifo = run_tpcw_simulation("baseline", config, profiles=profiles)
 
-        def quick_mean(results):
-            rts = results.mean_response_times()
+        def quick_mean(server):
+            rts = server.stats.mean_response_times()
             values = [
                 v for p, v in rts.items() if p not in LENGTHY_REPORT_PAGES
             ]
@@ -88,23 +88,23 @@ class TestSJFServer:
         assert quick_mean(sjf) <= quick_mean(fifo)
 
     def test_queue_series_recorded(self):
-        results = run_tpcw_simulation("sjf", tiny_config(),
-                                      profiles=fast_profiles())
-        assert "dynamic" in results.queue_series
+        stats = run_tpcw_simulation("sjf", tiny_config(),
+                                    profiles=fast_profiles()).stats
+        assert "dynamic" in stats.queue_series
 
 
 class TestRenderInline:
     def test_runs_and_completes(self):
-        results = run_tpcw_simulation("staged-render-inline", tiny_config(),
-                                      profiles=fast_profiles())
-        assert results.total_completions() > 50
+        stats = run_tpcw_simulation("staged-render-inline", tiny_config(),
+                                    profiles=fast_profiles()).stats
+        assert stats.total_completions() > 50
 
     def test_deterministic(self):
         a = run_tpcw_simulation("staged-render-inline", tiny_config(seed=3),
-                                profiles=fast_profiles())
+                                profiles=fast_profiles()).stats
         b = run_tpcw_simulation("staged-render-inline", tiny_config(seed=3),
-                                profiles=fast_profiles())
-        assert a.completions == b.completions
+                                profiles=fast_profiles()).stats
+        assert a.completions() == b.completions()
 
     def test_never_beats_separated_rendering(self):
         """The separated render pool frees connections during render;
@@ -112,8 +112,9 @@ class TestRenderInline:
         config = tiny_config(clients=40)
         profiles = fast_profiles()
         inline = run_tpcw_simulation("staged-render-inline", config,
-                                     profiles=profiles)
-        separated = run_tpcw_simulation("staged", config, profiles=profiles)
+                                     profiles=profiles).stats
+        separated = run_tpcw_simulation("staged", config,
+                                        profiles=profiles).stats
         assert separated.total_completions() >= (
             inline.total_completions() * 0.95
         )
@@ -122,23 +123,19 @@ class TestRenderInline:
 class TestWarmStart:
     def test_tracker_primed_from_profiles(self):
         from repro.sim.kernel import Simulation
-        from repro.sim.results import SimResults
         from repro.sim.server import SimServer
         from repro.sim.workload import DEFAULT_PROFILES
 
         config = tiny_config(warm_start=True)
-        server = SimServer.for_kind("staged", Simulation(), config,
-                                    SimResults())
+        server = SimServer.for_kind("staged", Simulation(), config)
         bs_demand = DEFAULT_PROFILES["/best_sellers"].db_demand
         assert server.policy.tracker.mean_time("/best_sellers") == bs_demand
 
     def test_cold_start_tracker_empty(self):
         from repro.sim.kernel import Simulation
-        from repro.sim.results import SimResults
         from repro.sim.server import SimServer
 
-        server = SimServer.for_kind("staged", Simulation(), tiny_config(),
-                                    SimResults())
+        server = SimServer.for_kind("staged", Simulation(), tiny_config())
         assert server.policy.tracker.mean_time("/best_sellers") is None
 
     def test_warm_start_first_lengthy_routed_correctly(self):
@@ -147,22 +144,19 @@ class TestWarmStart:
         whenever tspare <= treserve."""
         from repro.core.dispatch import DynamicPoolChoice
         from repro.sim.kernel import Simulation
-        from repro.sim.results import SimResults
         from repro.sim.server import SimServer
 
         config = tiny_config(warm_start=True)
-        server = SimServer.for_kind("staged", Simulation(), config,
-                                    SimResults())
+        server = SimServer.for_kind("staged", Simulation(), config)
         choice = server.policy.route("/best_sellers", tspare=0)
         assert choice is DynamicPoolChoice.LENGTHY
 
-        cold = SimServer.for_kind("staged", Simulation(), tiny_config(),
-                                  SimResults())
+        cold = SimServer.for_kind("staged", Simulation(), tiny_config())
         choice = cold.policy.route("/best_sellers", tspare=0)
         assert choice is DynamicPoolChoice.GENERAL
 
     def test_warm_start_run_completes(self):
-        results = run_tpcw_simulation(
+        server = run_tpcw_simulation(
             "staged", tiny_config(warm_start=True), profiles=fast_profiles()
         )
-        assert results.total_completions() > 50
+        assert server.stats.total_completions() > 50

@@ -44,18 +44,23 @@ def _series(series):
     return [[repr(t) for t in series.times], [repr(v) for v in series.values]]
 
 
-def results_digest(results, queue_keys):
+def results_digest(server, queue_keys):
+    # The accumulators come from the ServerStats internals: the digest
+    # pins every moment, not just the exported summaries.
+    stats = server.stats
+    chaos = server.policies is not None
     document = {
-        "completions": sorted(results.completions.items()),
-        "response_times": _accumulators(results.response_times),
-        "generation_times": _accumulators(results.generation_times),
-        "queues": [_series(results.queue_series[key]) for key in queue_keys],
-        "spare": _series(results.spare_series),
-        "treserve": _series(results.treserve_series),
-        "db_active": _series(results.db_active_series),
-        "connection_report": results.connection_report,
-        "fault_report": results.fault_report,
-        "resilience_report": results.resilience_report,
+        "completions": sorted(stats.completions().items()),
+        "response_times": _accumulators(stats._response_times),
+        "generation_times": _accumulators(stats._generation_times),
+        "queues": [_series(stats.queue_series[key]) for key in queue_keys],
+        "spare": _series(stats.spare_series),
+        "treserve": _series(stats.treserve_series),
+        "db_active": _series(stats.queue_series["db-active"]),
+        "connection_report": server.connection_pool.utilization_report(),
+        "fault_report": server.policies.plan.fault_report() if chaos
+        else None,
+        "resilience_report": stats.resilience_report() if chaos else None,
     }
     encoded = json.dumps(document, sort_keys=True, default=repr)
     return hashlib.sha256(encoded.encode()).hexdigest()

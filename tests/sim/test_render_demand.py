@@ -23,9 +23,9 @@ def render_heavy_profiles(scale):
 @pytest.mark.parametrize("kind", ["baseline", "staged", "sjf"])
 def test_render_demand_drives_response_times(kind):
     light = run_tpcw_simulation(kind, tiny_config(seed=11),
-                                profiles=render_heavy_profiles(5.0))
+                                profiles=render_heavy_profiles(5.0)).stats
     heavy = run_tpcw_simulation(kind, tiny_config(seed=11),
-                                profiles=render_heavy_profiles(20.0))
+                                profiles=render_heavy_profiles(20.0)).stats
     assert light.total_completions() > 0
     light_mean = sum(light.mean_response_times().values())
     heavy_mean = sum(heavy.mean_response_times().values())

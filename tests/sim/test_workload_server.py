@@ -5,7 +5,9 @@ import dataclasses
 import pytest
 
 from repro.core.dispatch import StrictSeparationDispatcher
-from repro.sim.results import SimResults
+from repro.server.stats import ServerStats
+from repro.sim.kernel import Simulation
+from repro.sim.server import SimServer
 from repro.sim.workload import (
     DEFAULT_PROFILES,
     LENGTHY_REPORT_PAGES,
@@ -13,6 +15,7 @@ from repro.sim.workload import (
     WorkloadConfig,
     run_tpcw_simulation,
 )
+from repro.util.clock import ManualClock
 
 TINY = dict(clients=20, ramp_up=10, measure=120, cool_down=10,
             baseline_workers=8, general_pool=8, lengthy_pool=2,
@@ -86,10 +89,10 @@ class TestWorkloadConfig:
 class TestSimulationRuns:
     @pytest.mark.parametrize("kind", ["baseline", "staged"])
     def test_completes_interactions(self, kind):
-        results = run_tpcw_simulation(kind, tiny_config(),
-                                      profiles=fast_profiles())
-        assert results.total_completions() > 50
-        assert results.mean_response_times()
+        stats = run_tpcw_simulation(kind, tiny_config(),
+                                    profiles=fast_profiles()).stats
+        assert stats.total_completions() > 50
+        assert stats.mean_response_times()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -97,84 +100,119 @@ class TestSimulationRuns:
 
     def test_deterministic_given_seed(self):
         a = run_tpcw_simulation("staged", tiny_config(seed=7),
-                                profiles=fast_profiles())
+                                profiles=fast_profiles()).stats
         b = run_tpcw_simulation("staged", tiny_config(seed=7),
-                                profiles=fast_profiles())
-        assert a.completions == b.completions
+                                profiles=fast_profiles()).stats
+        assert a.completions() == b.completions()
         assert a.mean_response_times() == b.mean_response_times()
 
     def test_different_seeds_differ(self):
         a = run_tpcw_simulation("staged", tiny_config(seed=1),
-                                profiles=fast_profiles())
+                                profiles=fast_profiles()).stats
         b = run_tpcw_simulation("staged", tiny_config(seed=2),
-                                profiles=fast_profiles())
-        assert a.completions != b.completions
+                                profiles=fast_profiles()).stats
+        assert a.completions() != b.completions()
 
     def test_measurement_window_respected(self):
         config = tiny_config()
-        results = run_tpcw_simulation("baseline", config,
-                                      profiles=fast_profiles())
+        stats = run_tpcw_simulation("baseline", config,
+                                    profiles=fast_profiles()).stats
         # Queue samples span the whole run; completions only the window.
-        assert results.measure_start == config.ramp_up
-        assert results.measure_end == config.ramp_up + config.measure
+        assert config.window == (config.ramp_up,
+                                 config.ramp_up + config.measure)
+        times = stats.queue_series["dynamic"].times
+        assert times[0] < config.window[0]
+        assert times[-1] >= config.window[1]
 
     def test_queue_series_recorded(self):
         baseline = run_tpcw_simulation("baseline", tiny_config(),
-                                       profiles=fast_profiles())
+                                       profiles=fast_profiles()).stats
         assert "dynamic" in baseline.queue_series
         staged = run_tpcw_simulation("staged", tiny_config(),
-                                     profiles=fast_profiles())
+                                     profiles=fast_profiles()).stats
         assert {"general", "lengthy", "static", "render",
                 "header"} <= set(staged.queue_series)
 
     def test_reserve_series_only_for_staged(self):
         staged = run_tpcw_simulation("staged", tiny_config(),
-                                     profiles=fast_profiles())
+                                     profiles=fast_profiles()).stats
         assert len(staged.treserve_series) > 0
         assert len(staged.spare_series) > 0
 
     def test_custom_dispatcher_ablation(self):
-        results = run_tpcw_simulation(
+        server = run_tpcw_simulation(
             "staged", tiny_config(), profiles=fast_profiles(),
             dispatcher=StrictSeparationDispatcher(),
         )
-        assert results.total_completions() > 0
+        assert server.stats.total_completions() > 0
 
     def test_figure10_classes_recorded(self):
-        results = run_tpcw_simulation("staged", tiny_config(),
-                                      profiles=fast_profiles())
+        config = tiny_config()
+        stats = run_tpcw_simulation("staged", config,
+                                    profiles=fast_profiles()).stats
+        start, end = config.window
         for request_class in ("static", "dynamic", "quick", "lengthy"):
-            series = results.throughput_series(60.0, request_class)
+            series = stats.throughput_series(60.0, request_class,
+                                             start=start, end=end)
             assert sum(series.values) > 0, request_class
 
     def test_generation_excludes_render(self):
         """Generation time is the DB phase only; response time includes
         queues, render, and images — so response >= generation."""
-        results = run_tpcw_simulation("staged", tiny_config(),
-                                      profiles=fast_profiles())
-        responses = results.mean_response_times()
-        for page, generation in results.generation_times.items():
-            if page in responses and generation.count:
-                assert responses[page] >= generation.mean * 0.5
+        stats = run_tpcw_simulation("staged", tiny_config(),
+                                    profiles=fast_profiles()).stats
+        responses = stats.mean_response_times()
+        for page, generation in stats.mean_generation_times().items():
+            if page in responses:
+                assert responses[page] >= generation * 0.5
 
 
-class TestSimResults:
+class TestMeasurementWindow:
+    """The paper's protocol: completions and latencies count only
+    inside ``WorkloadConfig.window``; the sim applies it where it
+    records into ``ServerStats``, which itself has no window."""
+
     def test_window_filtering(self):
-        results = SimResults(measure_start=10.0, measure_end=20.0)
-        results.record_interaction(5.0, "/a", 1.0)    # before window
-        results.record_interaction(15.0, "/a", 1.0)   # inside
-        results.record_interaction(25.0, "/a", 1.0)   # after
-        assert results.completions == {"/a": 1}
+        config = tiny_config(ramp_up=10, measure=10)   # window [10, 20)
+        stats = ServerStats(ManualClock())
+        for now in (5.0, 15.0, 25.0):  # before, inside, after
+            if config.in_window(now):  # the emulated browser's rule
+                stats.record_interaction("/a", 1.0)
+        assert stats.completions() == {"/a": 1}
+
+    def test_server_records_only_inside_window(self):
+        config = tiny_config(ramp_up=10, measure=10)   # window [10, 20)
+        sim = Simulation()
+        server = SimServer.for_kind("baseline", sim, config)
+        profile = fast_profiles()["/home"]
+
+        def client():
+            for at in (5.0, 15.0, 25.0):  # before, inside, after
+                yield at - sim.now
+                yield server.submit_page(profile, jitter=1.0)
+
+        sim.spawn(client())
+        sim.run()
+        stats = server.stats
+        assert set(stats.mean_generation_times()) == {"/home"}
+        assert stats.stage_timing_summary()["worker"]["service"]["count"] == 1
+        assert stats.connection_utilization()["worker"]["leases"] == 1
+        # Request events are kept for the whole run and windowed when
+        # the throughput series is read.
+        dynamic = stats.throughput_series(1.0, "dynamic")
+        assert sum(dynamic.values) == 3
 
     def test_throughput_series_windowed(self):
-        results = SimResults(measure_start=0.0, measure_end=120.0)
-        results.record_request(30.0, "static")
-        results.record_request(90.0, "static")
-        series = results.throughput_series(60.0)
+        start, end = tiny_config(ramp_up=0, measure=120).window
+        stats = ServerStats(ManualClock())
+        stats.clock.advance(30.0)
+        stats.record_request("static")
+        stats.clock.advance(60.0)
+        stats.record_request("static")
+        series = stats.throughput_series(60.0, start=start, end=end)
         assert series.values == [1.0, 1.0]
 
     def test_unknown_class_series_empty(self):
-        results = SimResults()
-        results.measure_end = 60.0
-        series = results.throughput_series(60.0, "nope")
+        stats = ServerStats(ManualClock())
+        series = stats.throughput_series(60.0, "nope", end=60.0)
         assert sum(series.values) == 0

@@ -4,6 +4,8 @@
 - ``acquire``: connection checkouts only in the resource layers.
 - ``decide``: raw fault decisions only in the fault package and the
   socket gates.
+- ``stats``: one ``ServerStats`` per server, built only by the live
+  pipeline server and the simulated server.
 - ``sleep``: chaos tests run on scripted clocks, never ``time.sleep``.
 """
 
@@ -81,6 +83,18 @@ CASES = {
          os.path.join("repro", "sim", "server.py"): "d = plan.decide(SITE)\n"},
         [(os.path.join("repro", "db", "pool.py"), 2, ".decide(")],
     ),
+    "stats-second-sink": (
+        "stats",
+        {os.path.join("repro", "faults", "policies.py"):
+         "def f(clock):\n    return ServerStats(clock)\n",
+         os.path.join(SERVER, "pipeline.py"):
+         "stats = ServerStats(self.clock)\n",
+         os.path.join("repro", "sim", "server.py"):
+         "stats = ServerStats(SimClockAdapter(sim))\n",
+         os.path.join(SERVER, "__init__.py"):
+         "from repro.server.stats import ServerStats\n"},
+        [(os.path.join("repro", "faults", "policies.py"), 2, "ServerStats(")],
+    ),
     "sleep-time-sleep-call": (
         "sleep",
         {"test_rogue.py": "import time\n\ndef test_x():\n    time.sleep(0.5)\n"},
@@ -109,6 +123,7 @@ SEEDED = {
     "submit": "pool.submit(handler, item)\n",
     "acquire": "conn = pool.acquire()\n",
     "decide": "decision = plan.decide(SITE_WORKER)\n",
+    "stats": "stats = ServerStats(clock)\n",
     "sleep": "import time\ntime.sleep(2)\n",
 }
 

@@ -29,6 +29,12 @@ allow-list:
     ``FaultPlan.inject()``, the one table of fault effects that the
     live code and the simulator share; a site that interprets a raw
     decision itself is a second copy of that table, free to drift.
+``stats``
+    ``ServerStats(`` only in ``server/pipeline.py`` and
+    ``sim/server.py``.  One metrics sink per server, live or simulated:
+    everything else (the lease manager, the resilience policies, the
+    harness) records into or reads the server's own ``stats``, so a
+    second sink kept in step by hand cannot creep back.
 ``sleep``
     No ``time.sleep`` (nor ``sleep`` imported from ``time``) in
     ``tests/chaos``.  Chaos scenarios run on a ``ManualClock`` or the
@@ -114,6 +120,20 @@ RULES: Dict[str, Rule] = {
                  "and the socket gates (apply effects via FaultPlan.inject):"),
         clean=("decide-site check: clean "
                "(fault effects come from FaultPlan.inject)"),
+    ),
+    "stats": Rule(
+        root="src",
+        patterns=(re.compile(r"\bServerStats\s*\("),),
+        allowed=frozenset({
+            # The live servers' one sink, shared by every layer.
+            os.path.join("repro", "server", "pipeline.py"),
+            # The simulated server's, on the simulated clock.
+            os.path.join("repro", "sim", "server.py"),
+        }),
+        failure=("ServerStats constructed outside server/pipeline.py and "
+                 "sim/server.py (record into the server's own stats):"),
+        clean=("stats-site check: clean "
+               "(one ServerStats per live or simulated server)"),
     ),
     "sleep": Rule(
         root=os.path.join("tests", "chaos"),

@@ -43,6 +43,7 @@ from repro.core.dispatch import AlwaysGeneralDispatcher, StrictSeparationDispatc
 from repro.core.policy import PolicyConfig, SchedulingPolicy
 from repro.db.engine import Database
 from repro.db.pool import ConnectionPool
+from repro.harness.export import stage_utilization
 from repro.http.client import http_request
 from repro.server.app import Application
 from repro.server.baseline import BaselineServer
@@ -432,7 +433,7 @@ def a7_run(topology, strategy):
     finally:
         server.stop()
     assert server.leases.outstanding == 0
-    utilization = server.stats.connection_utilization()
+    utilization = stage_utilization(server)
     assert utilization, (topology, strategy)
     for entry in utilization.values():
         assert entry["strategy"] == strategy.value

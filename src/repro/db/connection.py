@@ -137,7 +137,6 @@ class Connection:
         #: numerator of the utilisation the paper's scheme improves
         #: (the denominator being how long the connection is held).
         self.busy_seconds = 0.0
-        self.created_at = clock()
 
     def cursor(self) -> Cursor:
         self._check_open()
@@ -196,13 +195,6 @@ class Connection:
                 )
             finally:
                 self.busy_seconds += self._clock() - started
-
-    def utilization(self) -> float:
-        """Fraction of this connection's lifetime spent executing."""
-        lifetime = self._clock() - self.created_at
-        if lifetime <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / lifetime)
 
     def _check_open(self) -> None:
         if self._closed:

@@ -6,9 +6,11 @@ shared by the threads" (paper §1, §2.2).  This pool is that limit made
 explicit: at most ``size`` connections exist; :meth:`acquire` blocks
 when all are out.  The pool also measures what the paper's scheme
 optimises: every checkout records how long the connection was *held*
-and how much of that time it spent actually *querying*, so
-:meth:`utilization_report` can state the connection busy fraction —
-the quantity decided by *who* holds connections and for how long.
+and how much of that time it spent actually *querying*, labelled with
+the stage that took it, so :meth:`utilization_report` can state the
+connection busy fraction — the quantity decided by *who* holds
+connections and for how long — and :meth:`stage_report` can say which
+stage holds them.
 
 Raw ``acquire``/``release`` is deliberately low-level (a missed or
 doubled release corrupts the scarce resource the whole study is
@@ -30,12 +32,35 @@ from repro.faults.plan import SITE_POOL_ACQUIRE
 from repro.util.timeseries import SummaryAccumulator
 
 
+#: The stage label of a checkout taken outside any pipeline stage.
+UNSTAGED = "db"
+
+
+class _StageCheckouts:
+    """One stage's share of a :class:`CheckoutLedger`."""
+
+    __slots__ = ("leases", "held_seconds", "busy_seconds", "waits")
+
+    def __init__(self, stage: str):
+        self.leases = 0
+        self.held_seconds = 0.0
+        self.busy_seconds = 0.0
+        self.waits = SummaryAccumulator(f"{stage}/acquire-wait")
+
+
+def _busy_fraction(held: float, busy: float) -> float:
+    return (busy / held) if held > 0 else 0.0
+
+
 class CheckoutLedger:
     """Checkout accounting for one bounded connection pool.
 
     The live :class:`ConnectionPool` records into one under its lock,
     the simulated pool on simulated time, so both state the connection
-    busy fraction the same way.
+    busy fraction the same way.  It is the only checkout meter: each
+    checkout is labelled with the stage that took it, so the same
+    ledger answers pool-wide (:meth:`utilization_report`) and per
+    stage (:meth:`stage_report`).
     """
 
     def __init__(self, size: int):
@@ -43,28 +68,41 @@ class CheckoutLedger:
         self.in_use = 0
         self.acquires = 0
         self.peak_in_use = 0
-        self.wait_seconds = 0.0
         #: Seconds connections spent checked out (completed checkouts).
         self.held_seconds = 0.0
         #: Seconds of those held seconds spent executing statements.
         self.busy_seconds = 0.0
         self.completed_checkouts = 0
         self._wait_times = SummaryAccumulator("acquire-wait")
+        self._stages: Dict[str, _StageCheckouts] = {}
 
-    def granted(self, wait: float) -> None:
-        """A checkout was granted after ``wait`` seconds."""
+    def _stage(self, stage: str) -> _StageCheckouts:
+        entry = self._stages.get(stage)
+        if entry is None:
+            entry = self._stages[stage] = _StageCheckouts(stage)
+        return entry
+
+    def granted(self, wait: float, stage: str = UNSTAGED) -> None:
+        """``stage`` was granted a checkout after ``wait`` seconds."""
         self.in_use += 1
         self.peak_in_use = max(self.peak_in_use, self.in_use)
         self.acquires += 1
-        self.wait_seconds += wait
         self._wait_times.add(wait)
+        entry = self._stage(stage)
+        entry.leases += 1
+        entry.waits.add(wait)
 
-    def returned(self, held: float, busy: float) -> None:
-        """A checkout held ``held`` seconds, ``busy`` of them querying."""
+    def returned(self, held: float, busy: float,
+                 stage: str = UNSTAGED) -> None:
+        """``stage``'s checkout held ``held`` seconds, ``busy`` of them
+        querying."""
         self.held_seconds += held
         self.busy_seconds += busy
         self.completed_checkouts += 1
         self.in_use -= 1
+        entry = self._stage(stage)
+        entry.held_seconds += held
+        entry.busy_seconds += busy
 
     def utilization_report(self) -> Dict:
         """Busy-fraction accounting over completed checkouts.
@@ -76,17 +114,37 @@ class CheckoutLedger:
         are not included; read the report after they return (e.g. after
         server shutdown, which releases every pinned connection).
         """
-        held = self.held_seconds
-        busy = self.busy_seconds
         return {
             "size": self.size,
             "acquires": self.acquires,
             "completed_checkouts": self.completed_checkouts,
             "in_use": self.in_use,
-            "held_seconds": held,
-            "busy_seconds": busy,
-            "busy_fraction": (busy / held) if held > 0 else 0.0,
+            "held_seconds": self.held_seconds,
+            "busy_seconds": self.busy_seconds,
+            "busy_fraction": _busy_fraction(self.held_seconds,
+                                            self.busy_seconds),
             "acquire_wait": self._wait_times.summary(),
+        }
+
+    def stage_report(self) -> Dict[str, Dict]:
+        """The same accounting per stage that took checkouts.
+
+        ``{stage: {leases, held_seconds, busy_seconds, busy_fraction,
+        acquire_wait: {count, mean, p50, p95, p99, max}}}``.  ``leases``
+        counts grants, so the entries sum to the pool-wide ``acquires``,
+        ``held_seconds`` and ``busy_seconds``; as there, held and busy
+        time cover completed checkouts only.
+        """
+        return {
+            stage: {
+                "leases": entry.leases,
+                "held_seconds": entry.held_seconds,
+                "busy_seconds": entry.busy_seconds,
+                "busy_fraction": _busy_fraction(entry.held_seconds,
+                                                entry.busy_seconds),
+                "acquire_wait": entry.waits.summary(),
+            }
+            for stage, entry in sorted(self._stages.items())
         }
 
 
@@ -119,16 +177,18 @@ class ConnectionPool:
         self._mutex = threading.Lock()
         self._available = threading.Condition(self._mutex)
         # Checked-out connections and their checkout snapshot:
-        # (checkout time, busy_seconds at checkout).  Membership is
+        # (checkout time, busy_seconds at checkout, stage).  Membership is
         # also the release guard — a connection absent from this map
         # was either never issued or already returned.
-        self._checked_out: Dict[Connection, Tuple[float, float]] = {}
+        self._checked_out: Dict[Connection, Tuple[float, float, str]] = {}
         #: Checkout statistics, guarded by the pool's lock.
         self.ledger = CheckoutLedger(size)
 
     # ------------------------------------------------------------------
-    def acquire(self, timeout: Optional[float] = None) -> Connection:
-        """Check out a connection, blocking while none are free."""
+    def acquire(self, timeout: Optional[float] = None,
+                stage: str = UNSTAGED) -> Connection:
+        """Check out a connection for ``stage``, blocking while none
+        are free."""
         if self.faults is not None:
             # An injected DELAY sleeps here (outside the condition, so
             # it does not serialise other acquirers); EXHAUST/FAIL
@@ -153,8 +213,9 @@ class ConnectionPool:
                 self._all.append(connection)
                 self._created += 1
             now = self._clock()
-            self.ledger.granted(now - start)
-            self._checked_out[connection] = (now, connection.busy_seconds)
+            self.ledger.granted(now - start, stage)
+            self._checked_out[connection] = (now, connection.busy_seconds,
+                                             stage)
             return connection
 
     def release(self, connection: Connection) -> None:
@@ -172,9 +233,10 @@ class ConnectionPool:
                     f"out of this pool (double release, or a connection the "
                     f"pool never issued)"
                 )
-            checked_out_at, busy_at_checkout = checkout
+            checked_out_at, busy_at_checkout, stage = checkout
             self.ledger.returned(self._clock() - checked_out_at,
-                                 connection.busy_seconds - busy_at_checkout)
+                                 connection.busy_seconds - busy_at_checkout,
+                                 stage)
             if connection.closed:
                 # A handler closed it outright: replace capacity.
                 self._created -= 1
@@ -244,14 +306,12 @@ class ConnectionPool:
         """Total statement-execution time across all connections."""
         return sum(c.busy_seconds for c in self.connections())
 
-    @property
-    def mean_wait_seconds(self) -> float:
-        with self._mutex:
-            ledger = self.ledger
-            return (ledger.wait_seconds / ledger.acquires
-                    if ledger.acquires else 0.0)
-
     def utilization_report(self) -> Dict:
         """See :meth:`CheckoutLedger.utilization_report`."""
         with self._mutex:
             return self.ledger.utilization_report()
+
+    def stage_report(self) -> Dict[str, Dict]:
+        """See :meth:`CheckoutLedger.stage_report`."""
+        with self._mutex:
+            return self.ledger.stage_report()

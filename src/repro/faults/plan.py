@@ -202,12 +202,9 @@ class FaultPlan:
             RandomStream(seed, f"{rule.site}:{index}")
             for index, rule in enumerate(self.rules)
         ]
+        #: Injections per rule: the only fault ledger (``max_times``
+        #: reads it, and :meth:`fault_report` sums it by site).
         self._rule_counts = [0] * len(self.rules)
-        self._site_counts: Dict[str, int] = {}
-        #: Optional observer ``(site, action_label) -> None``; the
-        #: servers wire this to ``ServerStats.record_fault`` so every
-        #: injection lands in the exported metrics.
-        self.on_inject: Optional[Callable[[str, str], None]] = None
 
     # ------------------------------------------------------------------
     # Request context: the pipeline brackets handler execution so
@@ -269,15 +266,11 @@ class FaultPlan:
                     if self._streams[index].random() >= rule.probability:
                         continue
                 self._rule_counts[index] += 1
-                label = f"{site}:{rule.action.value}"
-                self._site_counts[label] = self._site_counts.get(label, 0) + 1
                 fired = FaultDecision(
                     rule_index=index, site=site, action=rule.action,
                     delay=rule.delay, message=rule.message,
                 )
                 break
-        if fired is not None and self.on_inject is not None:
-            self.on_inject(fired.site, fired.action.value)
         return fired
 
     def inject(self, site: str, page_key: Optional[str] = None,
@@ -320,8 +313,14 @@ class FaultPlan:
 
         Keyed identically on the live servers and the sim mirror —
         the parity tests compare these documents verbatim.
+        ``injected`` sums the per-rule counts by ``site:action``.
         """
         with self._lock:
+            injected: Dict[str, int] = {}
+            for rule, count in zip(self.rules, self._rule_counts):
+                if count:
+                    label = f"{rule.site}:{rule.action.value}"
+                    injected[label] = injected.get(label, 0) + count
             per_rule = [
                 {
                     "site": rule.site,
@@ -335,6 +334,6 @@ class FaultPlan:
             return {
                 "seed": self.seed,
                 "total_injected": sum(self._rule_counts),
-                "injected": dict(sorted(self._site_counts.items())),
+                "injected": dict(sorted(injected.items())),
                 "rules": per_rule,
             }

@@ -35,7 +35,7 @@ import dataclasses
 import enum
 import random
 import threading
-from typing import Callable, Iterator, List, Mapping, Optional
+from typing import Dict, Iterator, List, Mapping, Optional
 
 from repro.db.errors import PoolTimeoutError
 from repro.faults.errors import CircuitOpenError, DeadlineExpiredError
@@ -123,8 +123,7 @@ class CircuitBreaker:
       reset its failure count; one failed probe re-opens it.
     """
 
-    def __init__(self, config: BreakerConfig, clock: Optional[Clock] = None,
-                 on_transition: Optional[Callable[[str], None]] = None):
+    def __init__(self, config: BreakerConfig, clock: Optional[Clock] = None):
         self.config = config
         self.clock = clock if clock is not None else MonotonicClock()
         self._lock = threading.Lock()
@@ -133,8 +132,8 @@ class CircuitBreaker:
         self._opened_at = 0.0
         self._probe_successes = 0
         self._probe_in_flight = False
-        self._on_transition = on_transition
-        self.transitions: List[str] = []
+        #: Times each state was entered, keyed by state value.
+        self._entered: Dict[str, int] = {}
 
     @property
     def state(self) -> BreakerState:
@@ -144,7 +143,6 @@ class CircuitBreaker:
     # ------------------------------------------------------------------
     def allow(self) -> bool:
         """May a pool acquire proceed right now?"""
-        transitioned = None
         with self._lock:
             if self._state is BreakerState.CLOSED:
                 return True
@@ -152,7 +150,7 @@ class CircuitBreaker:
                 elapsed = self.clock.now() - self._opened_at
                 if elapsed < self.config.recovery_timeout:
                     return False
-                transitioned = self._transition(BreakerState.HALF_OPEN)
+                self._transition(BreakerState.HALF_OPEN)
                 self._probe_in_flight = True
                 self._probe_successes = 0
             elif self._probe_in_flight:
@@ -161,35 +159,30 @@ class CircuitBreaker:
                 return False
             else:
                 self._probe_in_flight = True
-        self._notify(transitioned)
         return True
 
     def record_success(self) -> None:
-        transitioned = None
         with self._lock:
             if self._state is BreakerState.HALF_OPEN:
                 self._probe_in_flight = False
                 self._probe_successes += 1
                 if self._probe_successes >= self.config.half_open_successes:
                     self._failures = 0
-                    transitioned = self._transition(BreakerState.CLOSED)
+                    self._transition(BreakerState.CLOSED)
             elif self._state is BreakerState.CLOSED:
                 self._failures = 0
-        self._notify(transitioned)
 
     def record_failure(self) -> None:
-        transitioned = None
         with self._lock:
             if self._state is BreakerState.HALF_OPEN:
                 self._probe_in_flight = False
                 self._opened_at = self.clock.now()
-                transitioned = self._transition(BreakerState.OPEN)
+                self._transition(BreakerState.OPEN)
             elif self._state is BreakerState.CLOSED:
                 self._failures += 1
                 if self._failures >= self.config.failure_threshold:
                     self._opened_at = self.clock.now()
-                    transitioned = self._transition(BreakerState.OPEN)
-        self._notify(transitioned)
+                    self._transition(BreakerState.OPEN)
 
     def retry_after(self) -> float:
         """Seconds until the breaker will consider a probe (0 if not open)."""
@@ -200,15 +193,17 @@ class CircuitBreaker:
                          - self.clock.now())
             return max(0.0, remaining)
 
-    # ------------------------------------------------------------------
-    def _transition(self, new_state: BreakerState) -> str:
-        self._state = new_state
-        self.transitions.append(new_state.value)
-        return new_state.value
+    def report(self) -> Dict:
+        """``{"state": ..., "transitions": {state: times entered}}``."""
+        with self._lock:
+            return {"state": self._state.value,
+                    "transitions": dict(sorted(self._entered.items()))}
 
-    def _notify(self, label: Optional[str]) -> None:
-        if label is not None and self._on_transition is not None:
-            self._on_transition(label)
+    # ------------------------------------------------------------------
+    def _transition(self, new_state: BreakerState) -> None:
+        self._state = new_state
+        self._entered[new_state.value] = \
+            self._entered.get(new_state.value, 0) + 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -240,11 +235,13 @@ class ResilienceConfig:
 class Resilience:
     """One server's fault plan and resilience policies, wired together.
 
-    Injections and policy verdicts land in ``stats`` (a
-    :class:`~repro.server.stats.ServerStats`); the breaker and the
-    stats read ``clock``.  The live server and the simulator each build
-    one — the sim on a clock that reads simulated time — so both run
-    the same guard, deadline check, and retry schedule.
+    Policy verdicts (retries, expired deadlines, fast fails) land in
+    ``stats`` (a :class:`~repro.server.stats.ServerStats`); the plan
+    counts its own injections and the breaker its own transitions, so
+    a plan shared by two servers reports the same injections to both.
+    The breaker reads ``clock``.  The live server and the simulator
+    each build one — the sim on a clock that reads simulated time — so
+    both run the same guard, deadline check, and retry schedule.
     """
 
     def __init__(self, plan: Optional[FaultPlan],
@@ -252,14 +249,9 @@ class Resilience:
         self.plan = plan
         self.config = config
         self.stats = stats
-        if plan is not None and plan.on_inject is None:
-            plan.on_inject = stats.record_fault
         self.breaker: Optional[CircuitBreaker] = None
         if config is not None and config.breaker is not None:
-            self.breaker = CircuitBreaker(
-                config.breaker, clock=clock,
-                on_transition=stats.record_breaker_transition,
-            )
+            self.breaker = CircuitBreaker(config.breaker, clock=clock)
         self._retry = config.retry if config is not None else None
         self._retry_stream = RandomStream(
             config.seed if config is not None else 0, "retry-jitter"

@@ -32,6 +32,7 @@ from repro.faults.policies import (
     ResilienceConfig,
     RetryPolicy,
 )
+from repro.harness.export import resilience_document
 from repro.sim.workload import WorkloadConfig, run_tpcw_simulation
 
 
@@ -102,7 +103,7 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> Dict:
         document["servers"][kind] = {
             "completed": server.stats.total_completions(),
             "fault_report": server.policies.plan.fault_report(),
-            "resilience_report": server.stats.resilience_report(),
+            "resilience_report": resilience_document(server),
         }
     return document
 

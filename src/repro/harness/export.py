@@ -134,18 +134,49 @@ def _commit() -> str:
     return described.stdout.strip() if described.returncode == 0 else "unknown"
 
 
-def server_stats_document(stats) -> Dict:
-    """A live server's ``ServerStats`` as one JSON-serialisable document.
+def stage_utilization(server) -> Dict[str, Dict]:
+    """The pool's per-stage checkout entries, labelled with the lease
+    strategy the server declares."""
+    strategy = server.lease_strategy.value
+    return {stage: {"strategy": strategy, **entry}
+            for stage, entry in server.connection_pool.stage_report().items()}
 
-    Includes the per-stage queue-wait/service-time breakdown (with
-    p50/p95/p99) the stage pipeline records on every hop, per-page
-    response-time percentile summaries, and the per-stage connection
-    busy fraction (held vs. query-busy seconds per lease strategy, the
-    paper's headline resource-efficiency metric) — the labels are the
-    same ones the simulator exports (``static``/``dynamic``/``quick``/
-    ``lengthy`` for classes, stage names for pools), so downstream
-    tooling can compare live runs against simulated ones.
+
+def resilience_document(server) -> Dict:
+    """Policy outcomes per stage from ``server.stats``, injections per
+    ``site:action`` from the fault plan, and the breaker's state and
+    transition counts from the breaker — each read from its owner.  A
+    server without a plan or a breaker reports none injected and a
+    breaker that never left ``closed``."""
+    policies = server.policies
+    plan = policies.plan if policies is not None else None
+    breaker = policies.breaker if policies is not None else None
+    return {
+        "stages": server.stats.policy_outcomes(),
+        "faults_injected": (plan.fault_report()["injected"]
+                            if plan is not None else {}),
+        "breaker": (breaker.report() if breaker is not None
+                    else {"state": "closed", "transitions": {}}),
+    }
+
+
+def server_stats_document(server) -> Dict:
+    """A server's metrics as one JSON-serialisable document.
+
+    ``server`` is a live :class:`~repro.server.pipeline.PipelineServer`
+    or a :class:`~repro.sim.server.SimServer`; each fact is read from
+    the component that counts it — ``server.stats``,
+    ``server.connection_pool`` and ``server.policies``.  Includes the
+    per-stage queue-wait/service-time breakdown (with p50/p95/p99) the
+    stage pipeline records on every hop, per-page response-time
+    percentile summaries, and the per-stage connection busy fraction
+    (held vs. query-busy seconds, the paper's headline
+    resource-efficiency metric) — the labels are the same in both
+    worlds (``static``/``dynamic``/``quick``/``lengthy`` for classes,
+    stage names for pools), so downstream tooling can compare live
+    runs against simulated ones.
     """
+    stats = server.stats
     return {
         "completions": stats.completions(),
         "total_completions": stats.total_completions(),
@@ -157,14 +188,14 @@ def server_stats_document(stats) -> Dict:
             for name, series in stats.queue_series.items()
         },
         "connection_gauges": stats.connection_gauges(),
-        "connection_utilization": stats.connection_utilization(),
-        "resilience": stats.resilience_report(),
+        "connection_utilization": stage_utilization(server),
+        "resilience": resilience_document(server),
     }
 
 
-def export_server_stats_json(stats, path: str) -> str:
+def export_server_stats_json(server, path: str) -> str:
     """Write a server's stats document to ``path``; returns the path."""
-    document = server_stats_document(stats)
+    document = server_stats_document(server)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(document, f, indent=2, sort_keys=True)
         f.write("\n")

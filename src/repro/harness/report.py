@@ -15,6 +15,7 @@ from repro.harness.experiments import (
     ExperimentRunner,
     Table2Result,
 )
+from repro.harness.export import stage_utilization
 from repro.util.timeseries import TimeSeries
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
@@ -196,8 +197,8 @@ def format_stage_breakdown(stats) -> str:
     return "\n".join(lines)
 
 
-def format_connection_utilization(stats) -> str:
-    """Per-stage connection busy fraction from ``ServerStats``.
+def format_connection_utilization(server) -> str:
+    """Per-stage connection busy fraction from the server's pool.
 
     One row per connection-holding stage: lease strategy, lease count,
     held vs. query-busy seconds, the busy fraction (the paper's
@@ -206,7 +207,7 @@ def format_connection_utilization(stats) -> str:
     Pinned leases return at worker shutdown, so render this after
     ``server.stop()`` for complete held-time accounting.
     """
-    utilization = stats.connection_utilization()
+    utilization = stage_utilization(server)
     lines = [
         "Connection utilization per stage (busy fraction = "
         "query-busy / held)",

@@ -621,13 +621,11 @@ class PipelineServer:
             connection_pool.database.faults = faults
             app.templates.faults = faults
         # One lease manager per server: every stage that declares
-        # DatabaseResource gets its connections provisioned (and its
-        # held/busy time metered) through this object — no subclass
-        # binds connections by hand.
-        self.leases = LeaseManager(
-            connection_pool, binder=app, stats=self.stats, clock=self.clock,
-            policies=self.policies,
-        )
+        # DatabaseResource gets its connections provisioned through
+        # this object (and metered, per stage, by the pool's ledger) —
+        # no subclass binds connections by hand.
+        self.leases = LeaseManager(connection_pool, binder=app,
+                                   policies=self.policies)
         degraded = (resilience is not None and resilience.degraded_serving)
         # Pools start their threads (and run worker_init) inside the
         # Pipeline constructor — app/connection_pool must already be

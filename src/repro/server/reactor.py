@@ -78,7 +78,8 @@ class ConnectionReactor:
     max_connections:
         Cap on concurrently parked connections; ``None`` = unbounded.
     on_idle_reap / on_shed:
-        Optional metric callbacks (e.g. ``ServerStats.record_idle_reap``).
+        Optional metric callbacks (e.g. ``ServerStats.record_idle_reap``);
+        the reactor keeps no count of its own.
     """
 
     def __init__(self, on_ready: Callable[[ClientConnection], None], *,
@@ -112,8 +113,6 @@ class ConnectionReactor:
         self._started = False
         self._closed = False
         self.dispatched = 0
-        self.idle_reaped = 0
-        self.sheds = 0
         self._thread = threading.Thread(target=self._run, name=name, daemon=True)
 
     # ------------------------------------------------------------------
@@ -122,15 +121,6 @@ class ConnectionReactor:
         """Connections currently waiting in the reactor."""
         with self._lock:
             return len(self._parked) + len(self._pending)
-
-    def gauges(self) -> Dict[str, int]:
-        """Point-in-time reactor metrics."""
-        return {
-            "parked": self.parked_count,
-            "dispatched": self.dispatched,
-            "idle_reaped": self.idle_reaped,
-            "sheds": self.sheds,
-        }
 
     # ------------------------------------------------------------------
     def start(self) -> "ConnectionReactor":
@@ -194,7 +184,6 @@ class ConnectionReactor:
             connection.close()
 
     def _shed(self, connection: ClientConnection, respond: bool) -> None:
-        self.sheds += 1
         if self._on_shed is not None:
             try:
                 self._on_shed()
@@ -280,7 +269,6 @@ class ConnectionReactor:
             parked = self._unpark(fd)
             if parked is None:
                 continue
-            self.idle_reaped += 1
             if self._on_idle_reap is not None:
                 try:
                     self._on_idle_reap()

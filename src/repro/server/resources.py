@@ -27,11 +27,12 @@ The :class:`LeaseManager` owns every checkout: it wraps the raw
 :class:`~repro.db.pool.ConnectionPool` acquire/release pair (the only
 sanctioned caller outside the pool itself — the ``acquire`` rule of
 ``tools/check_sites.py`` enforces this in CI), binds connections into
-the application's thread-local ``getconn()`` context, and records each
-lease's acquire wait, held time, and query-busy time into
-:class:`~repro.server.stats.ServerStats` per stage — which is how the
+the application's thread-local ``getconn()`` context, and labels each
+checkout with the stage that takes it.  The pool's
+:class:`~repro.db.pool.CheckoutLedger` meters the checkout — acquire
+wait, held time, query-busy time — per stage, which is how the
 *connection busy fraction*, the mechanism behind the paper's Tables
-3–4, becomes an exported number per stage and per strategy.
+3–4, becomes an exported number per stage.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from typing import Callable, Iterator, Optional, Tuple
 from repro.db.connection import Connection, Cursor
 from repro.db.errors import ProgrammingError, TransientDBError
 from repro.faults.policies import Resilience
-from repro.util.clock import Clock, MonotonicClock
 
 
 class LeaseStrategy(enum.Enum):
@@ -82,25 +82,13 @@ class DatabaseResource:
 
 
 class Lease:
-    """One live checkout of a pooled connection, with its ledger."""
+    """One live checkout of a pooled connection; releasable once."""
 
-    __slots__ = ("connection", "stage", "strategy", "wait_seconds",
-                 "granted_at", "_busy_at_grant", "_released")
+    __slots__ = ("connection", "_released")
 
-    def __init__(self, connection: Connection, stage: str,
-                 strategy: LeaseStrategy, wait_seconds: float,
-                 granted_at: float):
+    def __init__(self, connection: Connection):
         self.connection = connection
-        self.stage = stage
-        self.strategy = strategy
-        self.wait_seconds = wait_seconds
-        self.granted_at = granted_at
-        self._busy_at_grant = connection.busy_seconds
         self._released = False
-
-    def busy_delta(self) -> float:
-        """Statement-execution seconds accrued under this lease."""
-        return self.connection.busy_seconds - self._busy_at_grant
 
 
 class LeaseManager:
@@ -114,54 +102,36 @@ class LeaseManager:
         The application (anything with ``bind_connection``); leases are
         bound into its per-thread ``getconn()`` context so handlers
         keep the paper's ``getconn()`` idiom regardless of strategy.
-    stats:
-        Optional :class:`~repro.server.stats.ServerStats`; every
-        released lease records (stage, strategy, wait, held, busy).
-    clock:
-        Time source for held-time measurement; share the server's.
     policies:
         The server's :class:`~repro.faults.policies.Resilience`: its
         breaker guards every acquire and its retry schedule backs off
         per-query transient failures.  ``None`` disables both.
     """
 
-    def __init__(self, pool: ConnectionPool, binder=None, stats=None,
-                 clock: Optional[Clock] = None,
+    def __init__(self, pool: ConnectionPool, binder=None,
                  policies: Optional[Resilience] = None):
         self.pool = pool
         self.binder = binder
-        self.stats = stats
-        self.clock = clock if clock is not None else MonotonicClock()
         self.policies = policies
         # Backoff sleeps route through the plan's sleeper when there is
         # a plan, so chaos tests can advance a ManualClock instead of
         # wall time.
         plan = policies.plan if policies is not None else None
         self.backoff_sleep = plan.sleep if plan is not None else time.sleep
-        self._mutex = threading.Lock()
-        self._outstanding = 0
         self._local = threading.local()
 
     # ------------------------------------------------------------------
     # The raw checkout pair every strategy goes through
     # ------------------------------------------------------------------
-    def acquire(self, stage: str, strategy: LeaseStrategy,
-                timeout: Optional[float] = None) -> Lease:
+    def acquire(self, stage: str, timeout: Optional[float] = None) -> Lease:
         # An open breaker fast-fails (CircuitOpenError) instead of
         # queueing another request against an exhausted pool; the
         # pipeline maps that to 503 + Retry-After (or a degraded
         # stale-cache response).
         if self.policies is None:
-            started = self.clock.now()
-            connection = self.pool.acquire(timeout=timeout)
-        else:
-            with self.policies.checkout(stage):
-                started = self.clock.now()
-                connection = self.pool.acquire(timeout=timeout)
-        now = self.clock.now()
-        with self._mutex:
-            self._outstanding += 1
-        return Lease(connection, stage, strategy, now - started, now)
+            return Lease(self.pool.acquire(timeout=timeout, stage=stage))
+        with self.policies.checkout(stage):
+            return Lease(self.pool.acquire(timeout=timeout, stage=stage))
 
     def release(self, lease: Lease) -> None:
         if lease._released:
@@ -170,22 +140,12 @@ class LeaseManager:
                 f"released twice"
             )
         lease._released = True
-        held = self.clock.now() - lease.granted_at
-        busy = lease.busy_delta()
         self.pool.release(lease.connection)
-        with self._mutex:
-            self._outstanding -= 1
-        if self.stats is not None:
-            self.stats.record_lease(
-                lease.stage, lease.strategy.value,
-                lease.wait_seconds, held, busy,
-            )
 
     @property
     def outstanding(self) -> int:
-        """Leases currently held; 0 after a clean pipeline shutdown."""
-        with self._mutex:
-            return self._outstanding
+        """Checkouts currently held; 0 after a clean pipeline shutdown."""
+        return self.pool.in_use
 
     # ------------------------------------------------------------------
     # Stage wiring (called by the Pipeline, never by server classes)
@@ -221,8 +181,7 @@ class LeaseManager:
     @contextlib.contextmanager
     def _request_lease(self, stage_name: str,
                        resource: DatabaseResource) -> Iterator[Lease]:
-        lease = self.acquire(stage_name, LeaseStrategy.LEASED_PER_REQUEST,
-                             resource.acquire_timeout)
+        lease = self.acquire(stage_name, resource.acquire_timeout)
         self._bind(lease.connection)
         try:
             yield lease
@@ -234,8 +193,7 @@ class LeaseManager:
     def _pinned_init(self, stage_name: str, resource: DatabaseResource,
                      init: Optional[Callable[[], None]]):
         def _init() -> None:
-            lease = self.acquire(stage_name, LeaseStrategy.PINNED,
-                                 resource.acquire_timeout)
+            lease = self.acquire(stage_name, resource.acquire_timeout)
             try:
                 self._local.pinned = lease
                 self._bind(lease.connection)
@@ -327,9 +285,7 @@ class PerQueryConnection:
     def begin(self) -> None:
         if self._sticky is not None:
             raise ProgrammingError("a transaction is already open")
-        lease = self._manager.acquire(
-            self._stage, LeaseStrategy.LEASED_PER_QUERY, self._timeout
-        )
+        lease = self._manager.acquire(self._stage, self._timeout)
         try:
             lease.connection.begin()
         except BaseException:
@@ -390,9 +346,7 @@ class PerQueryConnection:
                    if policies is not None and _is_idempotent(sql)
                    else iter(()))
         while True:
-            lease = self._manager.acquire(
-                self._stage, LeaseStrategy.LEASED_PER_QUERY, self._timeout
-            )
+            lease = self._manager.acquire(self._stage, self._timeout)
             try:
                 cursor = lease.connection.cursor()
                 cursor.execute(sql, params)

@@ -58,19 +58,13 @@ class ServerStats:
         self.spare_series = TimeSeries("general-spare")
         self.treserve_series = TimeSeries("treserve")
         self.parked_series = TimeSeries("parked-connections")
+        # The reactor's idle reaps and sheds, counted only here.
         self._connection_counters: Dict[str, int] = {
             "idle_reaped": 0,
             "sheds": 0,
         }
-        # Per-stage connection-lease ledger: strategy label, lease
-        # count, held/busy second sums, acquire-wait percentiles.
-        self._lease_stats: Dict[str, Dict] = {}
-        # Resilience ledger: per-stage policy counters, injected-fault
-        # counts keyed "site:action", breaker state + transition tally.
+        # Per-stage policy outcomes (retries, deadlines, fast fails...).
         self._resilience: Dict[str, Dict[str, int]] = {}
-        self._fault_counts: Dict[str, int] = {}
-        self._breaker_state = "closed"
-        self._breaker_transitions: Dict[str, int] = {}
 
     @staticmethod
     def _class_labels(request_class: Union[RequestClass, str]) -> tuple:
@@ -186,64 +180,8 @@ class ServerStats:
         return gauges
 
     # ------------------------------------------------------------------
-    # Connection leases (fed by repro.server.resources.LeaseManager)
-    # ------------------------------------------------------------------
-    def record_lease(self, stage: str, strategy: str, wait_seconds: float,
-                     held_seconds: float, busy_seconds: float) -> None:
-        """One returned connection lease on ``stage``.
-
-        ``held_seconds`` is checkout-to-return; ``busy_seconds`` is the
-        statement-execution time accrued under the lease.  Their ratio
-        — the connection busy fraction — is the paper's headline
-        resource-efficiency metric, recorded here per stage so the
-        report can show *which* stage's ownership wastes connections.
-        """
-        with self._lock:
-            entry = self._lease_stats.get(stage)
-            if entry is None:
-                entry = {
-                    "strategy": strategy,
-                    "leases": 0,
-                    "held_seconds": 0.0,
-                    "busy_seconds": 0.0,
-                    "waits": SummaryAccumulator(f"{stage}/acquire-wait"),
-                }
-                self._lease_stats[stage] = entry
-            entry["strategy"] = strategy
-            entry["leases"] += 1
-            entry["held_seconds"] += held_seconds
-            entry["busy_seconds"] += busy_seconds
-            entry["waits"].add(wait_seconds)
-
-    def connection_utilization(self) -> Dict[str, Dict]:
-        """Per-stage busy-fraction snapshot.
-
-        ``{stage: {strategy, leases, held_seconds, busy_seconds,
-        busy_fraction, acquire_wait: {count, mean, p50, p95, p99,
-        max}}}``.  Pinned leases return at worker shutdown, so read
-        after ``server.stop()`` for complete held-time accounting.
-        """
-        with self._lock:
-            entries = {
-                stage: dict(entry) for stage, entry in self._lease_stats.items()
-            }
-        report: Dict[str, Dict] = {}
-        for stage, entry in entries.items():
-            held = entry["held_seconds"]
-            busy = entry["busy_seconds"]
-            report[stage] = {
-                "strategy": entry["strategy"],
-                "leases": entry["leases"],
-                "held_seconds": held,
-                "busy_seconds": busy,
-                "busy_fraction": (busy / held) if held > 0 else 0.0,
-                "acquire_wait": entry["waits"].summary(),
-            }
-        return report
-
-    # ------------------------------------------------------------------
-    # Resilience: fault injection + policy outcomes
-    # (fed by FaultPlan.on_inject, the pipeline, and the LeaseManager)
+    # Resilience policy outcomes (fed by Resilience and the pipeline;
+    # the plan counts its injections and the breaker its transitions)
     # ------------------------------------------------------------------
     _RESILIENCE_COUNTERS = (
         "retries", "deadline_expired", "breaker_fast_fail",
@@ -287,42 +225,13 @@ class ServerStats:
         """A pool worker crashed outside its stage handler."""
         self._bump(stage, "worker_crashes")
 
-    def record_fault(self, site: str, action: str) -> None:
-        """One injected fault (wired to ``FaultPlan.on_inject``)."""
+    def policy_outcomes(self) -> Dict[str, Dict[str, int]]:
+        """``{stage: {retries, deadline_expired, breaker_fast_fail,
+        degraded_served, late_completions, worker_crashes}}`` — keyed
+        identically by the live servers and the simulator."""
         with self._lock:
-            label = f"{site}:{action}"
-            self._fault_counts[label] = self._fault_counts.get(label, 0) + 1
-
-    def record_breaker_transition(self, state: str) -> None:
-        """The circuit breaker entered ``state``."""
-        with self._lock:
-            self._breaker_state = state
-            self._breaker_transitions[state] = \
-                self._breaker_transitions.get(state, 0) + 1
-
-    def resilience_report(self) -> Dict:
-        """Snapshot of fault injections and policy outcomes.
-
-        ``{"stages": {stage: {retries, deadline_expired,
-        breaker_fast_fail, degraded_served, late_completions,
-        worker_crashes}}, "faults_injected": {"site:action": n},
-        "breaker": {"state": ..., "transitions": {...}}}`` — keyed
-        identically by the live servers and the sim mirror.
-        """
-        with self._lock:
-            return {
-                "stages": {
-                    stage: dict(entry)
-                    for stage, entry in sorted(self._resilience.items())
-                },
-                "faults_injected": dict(sorted(self._fault_counts.items())),
-                "breaker": {
-                    "state": self._breaker_state,
-                    "transitions": dict(
-                        sorted(self._breaker_transitions.items())
-                    ),
-                },
-            }
+            return {stage: dict(entry)
+                    for stage, entry in sorted(self._resilience.items())}
 
     # ------------------------------------------------------------------
     def completions(self) -> Dict[str, int]:

@@ -6,7 +6,7 @@ import heapq
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.db.pool import CheckoutLedger
+from repro.db.pool import UNSTAGED, CheckoutLedger
 from repro.sim.kernel import SimEvent, Simulation
 
 
@@ -73,7 +73,7 @@ class SimThreadPool:
 
 
 class SimLease:
-    """One simulated connection checkout; the ledger the report sums.
+    """One simulated connection checkout by the stage named ``tag``.
 
     ``granted`` fires when the pool hands the connection over; sim
     processes ``yield`` it before touching the database.  Query time
@@ -107,9 +107,10 @@ class SimConnectionPool:
     """The simulated twin of :class:`repro.db.pool.ConnectionPool`.
 
     Records into the live pool's :class:`~repro.db.pool.CheckoutLedger`
-    — held seconds, query-busy seconds, acquire-wait percentiles — so
-    the simulator states the same connection busy fraction the live
-    servers export (``tests/sim`` checks it key by key).  FIFO grants,
+    — held seconds, query-busy seconds, acquire-wait percentiles, per
+    lease tag — so the simulator states the same connection busy
+    fraction, pool-wide and per stage, the live servers export
+    (``tests/sim`` checks it key by key).  FIFO grants,
     like the live pool's condition-variable queue under fair wakeup.
     """
 
@@ -129,7 +130,7 @@ class SimConnectionPool:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def lease(self, tag: str = "db") -> SimLease:
+    def lease(self, tag: str = UNSTAGED) -> SimLease:
         """Request a connection; the lease's ``granted`` event fires
         once one is free (immediately when the pool has capacity)."""
         lease = SimLease(self, tag)
@@ -146,18 +147,23 @@ class SimConnectionPool:
             raise RuntimeError("cannot release an ungranted lease")
         lease.released = True
         self.ledger.returned(self.sim.now - lease.granted_at,
-                             lease.busy_seconds)
+                             lease.busy_seconds, lease.tag)
         if self._waiters:
             self._grant(self._waiters.popleft())
 
     def _grant(self, lease: SimLease) -> None:
         lease.granted_at = self.sim.now
-        self.ledger.granted(lease.granted_at - lease.requested_at)
+        self.ledger.granted(lease.granted_at - lease.requested_at,
+                            lease.tag)
         lease.granted.fire()
 
     def utilization_report(self) -> Dict:
         """Same document as ``ConnectionPool.utilization_report``."""
         return self.ledger.utilization_report()
+
+    def stage_report(self) -> Dict[str, Dict]:
+        """Same document as ``ConnectionPool.stage_report``."""
+        return self.ledger.stage_report()
 
 
 class PSServer:

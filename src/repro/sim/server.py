@@ -16,16 +16,19 @@ Faults run the live code too: each site calls
 :meth:`repro.faults.plan.FaultPlan.inject` and yields the seconds the
 live code would sleep, the breaker, deadline, and retry schedule are a
 :class:`repro.faults.policies.Resilience`, and a request is abandoned
-on the exceptions the live server turns into an error response.  Only
-the two socket sites decide here, as the live sockets do.
+on the exceptions the live server turns into an error response — after
+deciding the write of that response, as the live server sends it.
+Only the two socket sites decide here, as the live sockets do.
 
-Metrics go to the live sink: ``server.stats`` is a
+Metrics go to the live owners: ``server.stats`` is a
 :class:`repro.server.stats.ServerStats` on the simulated clock, and
-``server.connection_pool`` and ``server.policies`` report as a live
+``server.connection_pool`` (every checkout, per stage) and
+``server.policies`` (injections, breaker) report as a live
 :class:`repro.server.pipeline.PipelineServer`'s do.  The simulator's
 measurement window (ramp-up and cool-down excluded) is applied where
-it records: interactions, generation times, stage timings, and leases
-count only inside the window; samples span the whole run.
+``ServerStats`` records: interactions, generation times, and stage
+timings count only inside the window; samples and the pool's checkout
+ledger span the whole run.
 """
 
 from __future__ import annotations
@@ -109,6 +112,10 @@ class SimServer:
     two-pool scheme approximates without starving lengthy jobs.
     """
 
+    #: The one lease behaviour the simulator models: a leasing stage
+    #: checks a connection out for each request it serves.
+    lease_strategy = LeaseStrategy.LEASED_PER_REQUEST
+
     def __init__(self, sim: Simulation, config: WorkloadConfig,
                  topology: Topology,
                  policy: Optional[SchedulingPolicy] = None,
@@ -125,9 +132,9 @@ class SimServer:
         self.pools = {spec.name: SimThreadPool(sim, spec.name, spec.size)
                       for spec in topology.stages}
         #: Simulated twin of the live bounded connection pool, one
-        #: connection per lease-holding thread; leases meter held vs.
-        #: query-busy time so the sim reports the same connection busy
-        #: fraction the live servers export.
+        #: connection per lease-holding thread; its ledger meters held
+        #: vs. query-busy time per stage, so the sim reports the same
+        #: connection busy fraction the live servers export.
         self.connection_pool = SimConnectionPool(sim,
                                                  topology.leased_threads)
         #: Per-page mean generation time: the policy's classifier input,
@@ -224,13 +231,13 @@ class SimServer:
                            priority=priority)
         started = self.sim.now
         lease = None
+        # The page the live job carries: unknown until the entry stage
+        # has parsed the request.
+        known_page = "" if entry else page
         try:
             if policies is not None:
-                # The live job carries no page key until the entry
-                # stage has parsed the request.
                 try:
-                    yield from self._inject(SITE_WORKER,
-                                            "" if entry else page, name)
+                    yield from self._inject(SITE_WORKER, known_page, name)
                 except WorkerCrashError:
                     # Live: the crash escapes into the pool's error
                     # handler, which counts it.
@@ -248,30 +255,25 @@ class SimServer:
             if spec.holds_lease:
                 lease = self.connection_pool.lease(tag=name)
                 yield lease.granted
+            known_page = page
             try:
                 return (yield from self._body(name, profile, jitter,
                                               static_demand, lease))
             finally:
                 if lease is not None:
                     lease.release()
+        except ERROR_RESPONSES:
+            # Live sends the error response through the same socket
+            # write, matched against the job's page and this stage.
+            if policies is not None:
+                policies.plan.decide(SITE_SOCKET_WRITE, page_key=known_page,
+                                     stage=name)
+            raise
         finally:
             pool.release()
-            self._record_hop(name, started - requested, started, lease)
-
-    def _record_hop(self, name: str, queue_wait: float, started: float,
-                    lease) -> None:
-        """The hop's stage timing and connection lease, as the live
-        pipeline and lease manager record them."""
-        now = self.sim.now
-        if not self.config.in_window(now):
-            return
-        self.stats.record_stage_timing(name, queue_wait, now - started)
-        if lease is not None:
-            self.stats.record_lease(
-                name, LeaseStrategy.LEASED_PER_REQUEST.value,
-                lease.granted_at - lease.requested_at,
-                now - lease.granted_at, lease.busy_seconds,
-            )
+            if self.config.in_window(self.sim.now):
+                self.stats.record_stage_timing(name, started - requested,
+                                               self.sim.now - started)
 
     def _inject(self, site: str, page: str, stage: str):
         """A fault site on sim time: yield what the live code sleeps,

@@ -249,8 +249,8 @@ def run_tpcw_simulation(server_kind: str,
     simulated time at the same injection points the live servers
     expose, with ``resilience`` (a :class:`ResilienceConfig`) governing
     deadlines, retry, and the circuit breaker; ``server.policies.plan.
-    fault_report()`` and ``server.stats.resilience_report()`` then
-    report them.
+    fault_report()``, ``server.policies.breaker`` and ``server.stats.
+    policy_outcomes()`` then report them.
     """
     from repro.sim.server import SimServer
 

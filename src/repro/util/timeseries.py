@@ -1,16 +1,15 @@
-"""Metric containers: time series, histograms, running statistics.
+"""Metric containers: time series and running statistics.
 
-Used by the server-side stats collector, the simulator's result
-recorder, and the experiment harness to regenerate the paper's tables
-and figures.
+Used by the server-side stats collector (live and simulated), the
+connection pools' checkout ledger, and the experiment harness to
+regenerate the paper's tables and figures.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class TimeSeries:
@@ -65,18 +64,6 @@ class TimeSeries:
             if not self._values:
                 raise ValueError(f"time series {self.name!r} is empty")
             return sum(self._values) / len(self._values)
-
-    def window_mean(self, start: float, end: float) -> float:
-        """Mean of samples with start <= t < end."""
-        with self._lock:
-            lo = bisect.bisect_left(self._times, start)
-            hi = bisect.bisect_left(self._times, end)
-            window = self._values[lo:hi]
-        if not window:
-            raise ValueError(
-                f"time series {self.name!r}: no samples in [{start}, {end})"
-            )
-        return sum(window) / len(window)
 
     def bucketize(self, bucket_width: float, start: float = 0.0,
                   end: Optional[float] = None) -> "TimeSeries":
@@ -239,59 +226,3 @@ class SummaryAccumulator(WelfordAccumulator):
             "p99": rank(99),
             "max": maximum,
         }
-
-
-class Histogram:
-    """Fixed-bucket histogram with overflow bucket, plus exact percentiles.
-
-    Keeps raw samples (the experiment scales here are small enough) so
-    percentiles are exact rather than bucket-interpolated.
-    """
-
-    def __init__(self, name: str = "", bucket_bounds: Optional[Sequence[float]] = None):
-        self.name = name
-        if bucket_bounds is None:
-            # Log-spaced bounds from 1 ms to ~100 s, suitable for
-            # response-time distributions.
-            bucket_bounds = [0.001 * (2**i) for i in range(18)]
-        bounds = sorted(float(b) for b in bucket_bounds)
-        if not bounds:
-            raise ValueError("bucket_bounds must be non-empty")
-        self._bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)
-        self._samples: List[float] = []
-        self._lock = threading.Lock()
-
-    def add(self, x: float) -> None:
-        with self._lock:
-            idx = bisect.bisect_right(self._bounds, x)
-            self._counts[idx] += 1
-            self._samples.append(x)
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return len(self._samples)
-
-    def bucket_counts(self) -> Dict[str, int]:
-        """Counts labelled by upper bound; the last bucket is '+inf'."""
-        with self._lock:
-            labels = [f"<={b:g}" for b in self._bounds] + ["+inf"]
-            return dict(zip(labels, self._counts))
-
-    def percentile(self, p: float) -> float:
-        """Exact p-th percentile (nearest-rank), p in [0, 100]."""
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        with self._lock:
-            if not self._samples:
-                raise ValueError(f"histogram {self.name!r} is empty")
-            ordered = sorted(self._samples)
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[rank - 1]
-
-    def mean(self) -> float:
-        with self._lock:
-            if not self._samples:
-                raise ValueError(f"histogram {self.name!r} is empty")
-            return sum(self._samples) / len(self._samples)

@@ -6,8 +6,9 @@ walking the same stage table (generator processes on the
 discrete-event clock), on both topologies: the staged server and the
 thread-per-request baseline.  Both worlds must produce the identical
 ``fault_report()`` — same rules, same per-rule injection counts — and
-the identical ``resilience_report()`` counters, and a second live run
-with the same seed must reproduce the first bit for bit.
+the identical resilience document (policy outcomes, injections, breaker),
+and a second live run with the same seed must reproduce the first bit
+for bit.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from repro.faults.plan import (
     FaultRule,
 )
 from repro.faults.policies import ResilienceConfig, RetryPolicy
+from repro.harness.export import resilience_document
 from repro.http.client import http_request
 from repro.http.errors import BadRequestError
 from repro.server.app import Application
@@ -97,6 +99,16 @@ WRITE_RULES = (
               page_key="/beta", max_times=1),
 )
 
+#: Dropped *error* responses: /alpha's query always fails hard, and
+#: each 500 goes out through the same page-filtered socket write as a
+#: 200 would — the write rule can only fire on an error response.
+ERROR_WRITE_RULES = (
+    FaultRule(site=SITE_DB_QUERY, action=FaultAction.FAIL,
+              page_key="/alpha"),
+    FaultRule(site=SITE_SOCKET_WRITE, action=FaultAction.DROP,
+              page_key="/alpha"),
+)
+
 topologies = pytest.mark.parametrize("topology", ["staged", "baseline"])
 
 
@@ -152,7 +164,7 @@ def run_live(topology, rules=PARITY_RULES):
         statuses = tuple(live_status(host, port, path) for path in SCRIPT)
     finally:
         server.stop()
-    return statuses, plan.fault_report(), server.stats.resilience_report()
+    return statuses, plan.fault_report(), resilience_document(server)
 
 
 #: Sim twins of the parity pages: tiny demands, no table locks — the
@@ -185,7 +197,7 @@ def run_sim(topology, rules=PARITY_RULES):
 
     sim.spawn(driver())
     sim.run()
-    return policies.plan.fault_report(), policies.stats.resilience_report()
+    return policies.plan.fault_report(), resilience_document(server)
 
 
 def worker_crashes(resilience):
@@ -227,6 +239,16 @@ class TestFaultParity:
         sim_faults, sim_resilience = run_sim(topology, WRITE_RULES)
         assert statuses == (200, 200, None, 200, 200, 200)
         assert live_faults["injected"] == {"socket.write:drop": 1}
+        assert sim_faults == live_faults
+        assert sim_resilience == live_resilience
+
+    def test_dropped_error_response_matches_live(self, topology):
+        statuses, live_faults, live_resilience = run_live(topology,
+                                                          ERROR_WRITE_RULES)
+        sim_faults, sim_resilience = run_sim(topology, ERROR_WRITE_RULES)
+        assert statuses == (None, None, 200, 200, 200, 200)
+        assert live_faults["injected"] == {"db.query:fail": 2,
+                                           "socket.write:drop": 2}
         assert sim_faults == live_faults
         assert sim_resilience == live_resilience
 

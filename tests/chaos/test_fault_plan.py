@@ -250,12 +250,17 @@ class TestReporting:
         assert [r["injected"] for r in report["rules"]] == [2, 1]
         assert report["rules"][0]["page_key"] == "/a"
 
-    def test_on_inject_observer_sees_every_injection(self):
-        seen = []
+    def test_injected_sums_rules_by_site_and_action(self):
         plan = make_plan([
-            FaultRule(site=SITE_DB_QUERY, action=FaultAction.FAIL),
+            FaultRule(site=SITE_DB_QUERY, action=FaultAction.FAIL,
+                      page_key="/a"),
+            FaultRule(site=SITE_DB_QUERY, action=FaultAction.FAIL,
+                      page_key="/b"),
+            FaultRule(site=SITE_RENDER, action=FaultAction.FAIL),
         ])
-        plan.on_inject = lambda site, action: seen.append((site, action))
-        plan.decide(SITE_DB_QUERY)
-        plan.decide(SITE_RENDER)  # no rule: no injection, no callback
-        assert seen == [(SITE_DB_QUERY, "fail")]
+        plan.decide(SITE_DB_QUERY, page_key="/a")
+        plan.decide(SITE_DB_QUERY, page_key="/b")
+        plan.decide(SITE_DB_QUERY, page_key="/c")  # no rule matches
+        report = plan.fault_report()
+        assert report["injected"] == {"db.query:fail": 2}
+        assert [r["injected"] for r in report["rules"]] == [1, 1, 0]

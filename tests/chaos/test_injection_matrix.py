@@ -28,6 +28,7 @@ from repro.faults.policies import (
     ResilienceConfig,
     RetryPolicy,
 )
+from repro.harness.export import resilience_document
 from repro.http.client import http_request
 from repro.http.errors import RequestTimeoutError
 from repro.server.netbase import ClientConnection
@@ -41,7 +42,7 @@ pytestmark = pytest.mark.chaos
 
 
 def stage_totals(server, counter):
-    stages = server.stats.resilience_report()["stages"]
+    stages = server.stats.policy_outcomes()
     return sum(entry[counter] for entry in stages.values())
 
 
@@ -80,7 +81,7 @@ class TestInjectionMatrix:
         assert http_request(host, port, "/ok").status == 500
         assert http_request(host, port, "/ok").status == 200
         assert plan.injected_total() == 1
-        report = server.stats.resilience_report()
+        report = resilience_document(server)
         assert report["faults_injected"] == {"db.query:fail": 1}
 
     def test_transient_db_fault_retried_only_per_query(self, make_server,
@@ -237,7 +238,7 @@ class TestBreakerPolicies:
         assert plan.injected_total() == 3
         clock.advance(6.0)  # past recovery_timeout: half-open probe
         assert http_request(host, port, "/ok").status == 200
-        breaker = server.stats.resilience_report()["breaker"]
+        breaker = server.policies.breaker.report()
         assert breaker["state"] == "closed"
         assert breaker["transitions"] == {
             "open": 1, "half_open": 1, "closed": 1,
@@ -336,7 +337,7 @@ class TestStageDeadlines:
         host, port = server.address
         response = http_request(host, port, "/ok")
         assert response.status == 504
-        stages = server.stats.resilience_report()["stages"]
+        stages = server.stats.policy_outcomes()
         assert stages["render"]["deadline_expired"] == 1
         assert clock.now() == pytest.approx(10.0)
         assert server.leases.outstanding == 0

@@ -189,3 +189,22 @@ class TestBreakerProperties:
         assert not breaker.allow()   # concurrent request: keep shedding
         breaker.record_success()
         assert breaker.state is BreakerState.CLOSED
+
+    def test_report_counts_each_state_entered(self):
+        """The report keeps a count per state entered, not a log: a
+        failed probe enters OPEN a second time."""
+        clock = ManualClock()
+        breaker = CircuitBreaker(BreakerConfig(
+            failure_threshold=1, recovery_timeout=1.0), clock=clock)
+        assert breaker.report() == {"state": "closed", "transitions": {}}
+        breaker.record_failure()
+        clock.advance(1.0)
+        assert breaker.allow()
+        breaker.record_failure()  # probe fails: OPEN again
+        clock.advance(1.0)
+        assert breaker.allow()
+        breaker.record_success()
+        assert breaker.report() == {
+            "state": "closed",
+            "transitions": {"closed": 1, "half_open": 2, "open": 2},
+        }

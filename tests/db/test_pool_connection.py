@@ -14,7 +14,7 @@ from repro.db.errors import (
     PoolTimeoutError,
     ProgrammingError,
 )
-from repro.db.pool import ConnectionPool
+from repro.db.pool import UNSTAGED, ConnectionPool
 from repro.util.clock import ManualClock
 
 
@@ -195,7 +195,34 @@ class TestConnectionPool:
         pool.release(b)
         assert pool.total_acquires == 2
         assert pool.peak_in_use == 2
-        assert pool.mean_wait_seconds >= 0.0
+        assert pool.utilization_report()["acquire_wait"]["mean"] >= 0.0
+
+    def test_checkouts_are_labelled_by_stage(self, db):
+        pool = ConnectionPool(db, size=2)
+        a = pool.acquire(stage="general")
+        a.execute("SELECT v FROM t")
+        pool.release(a)
+        pool.release(pool.acquire())
+        stages = pool.stage_report()
+        assert set(stages) == {"general", UNSTAGED}
+        assert stages["general"]["leases"] == 1
+        assert stages["general"]["busy_seconds"] > 0.0
+        assert stages[UNSTAGED]["busy_seconds"] == 0.0
+        assert stages[UNSTAGED]["acquire_wait"]["count"] == 1
+
+    def test_in_flight_checkout_counts_its_lease_not_its_hold(self, db):
+        clock = ManualClock()
+        pool = ConnectionPool(db, size=1, clock=clock.now)
+        connection = pool.acquire(stage="general")
+        clock.advance(0.5)
+        entry = pool.stage_report()["general"]
+        assert entry["leases"] == 1
+        assert entry["held_seconds"] == 0.0
+        assert pool.utilization_report()["in_use"] == 1
+        pool.release(connection)
+        assert pool.stage_report()["general"]["held_seconds"] \
+            == pytest.approx(0.5)
+        assert pool.utilization_report()["in_use"] == 0
 
     def test_invalid_size(self, db):
         with pytest.raises(ValueError):
@@ -391,21 +418,6 @@ class TestConnectionUtilization:
         assert connection.busy_seconds == 0.0
         connection.execute("SELECT v FROM t")
         assert connection.busy_seconds > 0.0
-
-    def test_utilization_between_zero_and_one(self, db):
-        connection = Connection(db)
-        for _ in range(5):
-            connection.execute("SELECT v FROM t")
-        assert 0.0 < connection.utilization() <= 1.0
-
-    def test_idle_connection_utilization_decays(self, db):
-        import time as _time
-
-        connection = Connection(db)
-        connection.execute("SELECT v FROM t")
-        first = connection.utilization()
-        _time.sleep(0.05)  # held but idle: the paper's wasted resource
-        assert connection.utilization() < first
 
     def test_pool_tracks_all_connections(self, db):
         pool = ConnectionPool(db, size=2)

@@ -87,28 +87,39 @@ class TestExportFigures:
         assert all(len(line.split()) == 3 for line in data_lines)
 
 
+def fake_server(policies=None):
+    """The three owners a stats document reads, as a live or simulated
+    server carries them: its stats, its pool's checkout ledger (fed
+    two checkouts by the lengthy stage), and its policies."""
+    from types import SimpleNamespace
+
+    from repro.core.classifier import RequestClass
+    from repro.db.engine import Database
+    from repro.db.pool import ConnectionPool
+    from repro.server.resources import LeaseStrategy
+    from repro.server.stats import ServerStats
+    from repro.util.clock import ManualClock
+
+    stats = ServerStats(ManualClock())
+    stats.record_completion("/page", RequestClass.LENGTHY_DYNAMIC, 2.5)
+    stats.record_stage_timing("header", 0.01, 0.002)
+    stats.record_stage_timing("lengthy", 0.5, 2.0)
+    stats.sample_queue("lengthy", 3)
+    stats.record_generation_time("/page", 2.0)
+    pool = ConnectionPool(Database(), 2)
+    for wait, busy in ((0.01, 4.0), (0.03, 2.0)):
+        pool.ledger.granted(wait, "lengthy")
+        pool.ledger.returned(10.0, busy, "lengthy")
+    return SimpleNamespace(stats=stats, connection_pool=pool,
+                           policies=policies,
+                           lease_strategy=LeaseStrategy.PINNED)
+
+
 class TestServerStatsDocument:
-    def _stats(self):
-        from repro.core.classifier import RequestClass
-        from repro.server.stats import ServerStats
-        from repro.util.clock import ManualClock
-
-        stats = ServerStats(ManualClock())
-        stats.record_completion("/page", RequestClass.LENGTHY_DYNAMIC, 2.5)
-        stats.record_stage_timing("header", 0.01, 0.002)
-        stats.record_stage_timing("lengthy", 0.5, 2.0)
-        stats.sample_queue("lengthy", 3)
-        stats.record_generation_time("/page", 2.0)
-        stats.record_lease("lengthy", "pinned", wait_seconds=0.01,
-                           held_seconds=10.0, busy_seconds=4.0)
-        stats.record_lease("lengthy", "pinned", wait_seconds=0.03,
-                           held_seconds=10.0, busy_seconds=2.0)
-        return stats
-
     def test_document_structure(self):
         from repro.harness.export import server_stats_document
 
-        document = server_stats_document(self._stats())
+        document = server_stats_document(fake_server())
         assert document["completions"] == {"/page": 1}
         assert document["total_completions"] == 1
         assert document["response_times"]["/page"]["p99"] == 2.5
@@ -118,11 +129,15 @@ class TestServerStatsDocument:
         assert breakdown["service"]["max"] == 2.0
         assert document["queue_series"]["lengthy"] == [[0.0, 3.0]]
         assert document["connection_gauges"]["parked"] == 0
+        assert document["resilience"] == {
+            "stages": {}, "faults_injected": {},
+            "breaker": {"state": "closed", "transitions": {}},
+        }
 
     def test_connection_utilization_shape(self):
         from repro.harness.export import server_stats_document
 
-        document = server_stats_document(self._stats())
+        document = server_stats_document(fake_server())
         utilization = document["connection_utilization"]
         assert set(utilization) == {"lengthy"}
         entry = utilization["lengthy"]
@@ -144,12 +159,38 @@ class TestServerStatsDocument:
         from repro.harness.export import export_server_stats_json
 
         path = export_server_stats_json(
-            self._stats(), str(tmp_path / "server_stats.json")
+            fake_server(), str(tmp_path / "server_stats.json")
         )
         with open(path, encoding="utf-8") as f:
             loaded = json.load(f)
         assert loaded["stage_timings"]["header"]["service"]["count"] == 1
         assert loaded["connection_utilization"]["lengthy"]["leases"] == 2
+
+    def test_servers_sharing_a_plan_each_report_its_injections(self):
+        """The plan owns its injection counts: a second server handed
+        the same plan reports them too, not an empty ledger of its own."""
+        from repro.faults.plan import (
+            SITE_RENDER,
+            FaultAction,
+            FaultPlan,
+            FaultRule,
+        )
+        from repro.faults.policies import Resilience
+        from repro.harness.export import server_stats_document
+        from repro.util.clock import ManualClock
+
+        clock = ManualClock()
+        plan = FaultPlan([FaultRule(site=SITE_RENDER,
+                                    action=FaultAction.DELAY)], clock=clock)
+        servers = [fake_server() for _ in range(2)]
+        for server in servers:
+            server.policies = Resilience(plan, None, server.stats, clock)
+        plan.inject(SITE_RENDER)
+        plan.inject(SITE_RENDER)
+        for server in servers:
+            document = server_stats_document(server)
+            assert document["resilience"]["faults_injected"] == \
+                {"render:delay": 2}
 
 
 #: Stats-document fields keyed by data (pages, stages, series names,
@@ -218,8 +259,8 @@ class TestLiveAndSimulatedDocuments:
         finally:
             live.stop()  # pinned leases return at worker shutdown
 
-        live_document = server_stats_document(live.stats)
-        sim_document = server_stats_document(simulated.stats)
+        live_document = server_stats_document(live)
+        sim_document = server_stats_document(simulated)
         for document in (live_document, sim_document):
             assert document["stage_timings"]
             assert document["connection_utilization"]

@@ -107,23 +107,29 @@ class TestStageBreakdown:
 
 
 class TestConnectionUtilization:
-    def _stats(self):
-        from repro.server.stats import ServerStats
-        from repro.util.clock import ManualClock
+    def _server(self, checkouts=()):
+        from types import SimpleNamespace
 
-        stats = ServerStats(ManualClock())
-        stats.record_lease("general", "pinned", wait_seconds=0.02,
-                           held_seconds=8.0, busy_seconds=6.0)
-        stats.record_lease("lengthy", "per-request", wait_seconds=0.5,
-                           held_seconds=4.0, busy_seconds=1.0)
-        return stats
+        from repro.db.engine import Database
+        from repro.db.pool import ConnectionPool
+        from repro.server.resources import LeaseStrategy
+
+        pool = ConnectionPool(Database(), 2)
+        for stage, wait, held, busy in checkouts:
+            pool.ledger.granted(wait, stage)
+            pool.ledger.returned(held, busy, stage)
+        return SimpleNamespace(connection_pool=pool,
+                               lease_strategy=LeaseStrategy.PINNED)
 
     def test_one_row_per_stage_with_busy_fraction(self):
         from repro.harness.report import format_connection_utilization
 
-        text = format_connection_utilization(self._stats())
+        text = format_connection_utilization(self._server([
+            ("general", 0.02, 8.0, 6.0),
+            ("lengthy", 0.5, 4.0, 1.0),
+        ]))
         assert "general" in text and "lengthy" in text
-        assert "pinned" in text and "per-request" in text
+        assert "pinned" in text
         # general: 6.0 / 8.0 = 75%; lengthy: 1.0 / 4.0 = 25%
         assert "75.0%" in text
         assert "25.0%" in text
@@ -131,8 +137,6 @@ class TestConnectionUtilization:
 
     def test_empty_stats(self):
         from repro.harness.report import format_connection_utilization
-        from repro.server.stats import ServerStats
-        from repro.util.clock import ManualClock
 
-        text = format_connection_utilization(ServerStats(ManualClock()))
+        text = format_connection_utilization(self._server())
         assert "no connection leases" in text

@@ -1,5 +1,6 @@
 """Lease lifecycle on live servers: whatever the strategy, whatever the
-outcome of the request, every connection lease is returned by shutdown."""
+outcome of the request, every connection lease is returned by shutdown,
+and the pool's one checkout ledger accounts for it under its stage."""
 
 import threading
 
@@ -8,12 +9,17 @@ import pytest
 from repro.core.policy import PolicyConfig, SchedulingPolicy
 from repro.db.engine import Database
 from repro.db.pool import ConnectionPool
+from repro.harness.export import stage_utilization
 from repro.http.client import http_request
 from repro.server.app import Application
 from repro.server.baseline import BaselineServer
 from repro.server.resources import LeaseStrategy
 from repro.server.staged import StagedServer
+from repro.sim.workload import run_tpcw_simulation
 from repro.templates.engine import TemplateEngine
+from repro.util.clock import ManualClock
+
+from tests.sim.test_workload_server import fast_profiles, tiny_config
 
 STRATEGIES = [
     LeaseStrategy.PINNED,
@@ -64,16 +70,16 @@ def small_policy():
     ))
 
 
-def make_server(kind, strategy):
+def make_server(kind, strategy, clock=None):
     app, database = build_app()
     if kind == "baseline":
         return BaselineServer(
             app, ConnectionPool(database, 4), workers=4,
-            queue_sample_interval=0.05, lease_strategy=strategy,
+            queue_sample_interval=0.05, lease_strategy=strategy, clock=clock,
         )
     return StagedServer(
         app, ConnectionPool(database, 8), policy=small_policy(),
-        queue_sample_interval=0.05, lease_strategy=strategy,
+        queue_sample_interval=0.05, lease_strategy=strategy, clock=clock,
     )
 
 
@@ -119,7 +125,7 @@ class TestNoLeaseOutlivesTheServer:
         # Shutdown returned every lease, clean paths and error paths alike.
         assert server.leases.outstanding == 0
         assert server.connection_pool.in_use == 0
-        utilization = server.stats.connection_utilization()
+        utilization = stage_utilization(server)
         assert utilization, "dynamic stages recorded no leases"
         for entry in utilization.values():
             assert entry["strategy"] == strategy.value
@@ -139,6 +145,48 @@ class TestNoLeaseOutlivesTheServer:
         assert server.leases.outstanding == 0
         assert server.connection_pool.in_use == 0
         # One lease per dynamic worker, returned only at shutdown.
-        utilization = server.stats.connection_utilization()
+        utilization = stage_utilization(server)
         expected = {"baseline": 4, "staged": 5}[kind]  # general 4 + lengthy 1
         assert sum(e["leases"] for e in utilization.values()) == expected
+
+
+def assert_stages_sum_to_pool(pool):
+    """Per-stage checkout entries add up to the pool-wide report."""
+    stages = pool.stage_report()
+    report = pool.utilization_report()
+    assert stages
+    assert sum(e["leases"] for e in stages.values()) == report["acquires"]
+    assert sum(e["held_seconds"] for e in stages.values()) == \
+        pytest.approx(report["held_seconds"])
+    assert sum(e["busy_seconds"] for e in stages.values()) == \
+        pytest.approx(report["busy_seconds"])
+    for entry in stages.values():
+        assert entry["acquire_wait"]["count"] == entry["leases"]
+        assert entry["held_seconds"] >= entry["busy_seconds"]
+    return stages
+
+
+class TestOneCheckoutLedger:
+    def test_live_stages_sum_to_the_pool_on_a_manual_clock(self):
+        """The server's clock does not meter checkouts: held and busy
+        time both come from the pool's clock, so a stage's busy
+        fraction stays within [0, 1] and is not zero while it queried."""
+        server = make_server("staged", LeaseStrategy.LEASED_PER_REQUEST,
+                             clock=ManualClock())
+        server.start()
+        try:
+            host, port = server.address
+            for _ in range(3):
+                assert http_request(host, port,
+                                    "/page?pageid=1").status == 200
+        finally:
+            server.stop()
+        stages = assert_stages_sum_to_pool(server.connection_pool)
+        assert stages["general"]["leases"] == 3
+        assert 0.0 < stages["general"]["busy_fraction"] <= 1.0
+
+    def test_simulated_stages_sum_to_the_pool(self):
+        server = run_tpcw_simulation("staged", tiny_config(),
+                                     profiles=fast_profiles())
+        stages = assert_stages_sum_to_pool(server.connection_pool)
+        assert set(stages) <= {"general", "lengthy"}

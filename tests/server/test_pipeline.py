@@ -349,7 +349,7 @@ class TestCrashContainment:
 
     @staticmethod
     def resilience(stats, stage, counter):
-        return stats.resilience_report()["stages"][stage][counter]
+        return stats.policy_outcomes()[stage][counter]
 
     def test_second_completion_suppressed_and_counted_late(self):
         pipeline, stats, parked = build_pipeline(

@@ -15,8 +15,6 @@ from repro.server.resources import (
     LeaseStrategy,
     PerQueryConnection,
 )
-from repro.server.stats import ServerStats
-from repro.util.clock import ManualClock
 
 
 @pytest.fixture()
@@ -29,31 +27,29 @@ def db():
     return database
 
 
-def make_manager(db, size=2, stats=None):
+def make_manager(db, size=2):
     pool = ConnectionPool(db, size=size)
     app = Application()
-    return LeaseManager(pool, binder=app, stats=stats), pool, app
+    return LeaseManager(pool, binder=app), pool, app
 
 
 class TestAcquireRelease:
     def test_acquire_grants_and_meters(self, db):
-        stats = ServerStats(ManualClock())
-        manager, pool, _ = make_manager(db, stats=stats)
-        lease = manager.acquire("general", LeaseStrategy.PINNED)
+        manager, pool, _ = make_manager(db)
+        lease = manager.acquire("general")
         assert manager.outstanding == 1
         assert pool.in_use == 1
         lease.connection.execute("SELECT v FROM t")
         manager.release(lease)
         assert manager.outstanding == 0
         assert pool.in_use == 0
-        utilization = stats.connection_utilization()
-        assert utilization["general"]["strategy"] == "pinned"
+        utilization = pool.stage_report()
         assert utilization["general"]["leases"] == 1
         assert utilization["general"]["busy_seconds"] > 0.0
 
     def test_double_release_raises(self, db):
         manager, _, _ = make_manager(db)
-        lease = manager.acquire("general", LeaseStrategy.PINNED)
+        lease = manager.acquire("general")
         manager.release(lease)
         with pytest.raises(ProgrammingError):
             manager.release(lease)
@@ -128,8 +124,7 @@ class TestPinnedHooks:
 
 class TestPerRequestScope:
     def test_scope_leases_around_request(self, db):
-        stats = ServerStats(ManualClock())
-        manager, pool, app = make_manager(db, stats=stats)
+        manager, pool, app = make_manager(db)
         resource = DatabaseResource(strategy=LeaseStrategy.LEASED_PER_REQUEST)
         init, cleanup = manager.worker_hooks("worker", resource)
         assert init is None and cleanup is None  # nothing per worker
@@ -141,9 +136,7 @@ class TestPerRequestScope:
         assert pool.in_use == 0
         with pytest.raises(RuntimeError):
             app.getconn()
-        entry = stats.connection_utilization()["worker"]
-        assert entry["strategy"] == "per-request"
-        assert entry["leases"] == 1
+        assert pool.stage_report()["worker"]["leases"] == 1
 
     def test_scope_releases_on_handler_error(self, db):
         manager, pool, _ = make_manager(db)
@@ -163,8 +156,8 @@ class TestPerRequestScope:
 
 
 class TestPerQueryStrategy:
-    def _bound_connection(self, db, stats=None, size=2):
-        manager, pool, app = make_manager(db, size=size, stats=stats)
+    def _bound_connection(self, db, size=2):
+        manager, pool, app = make_manager(db, size=size)
         init, cleanup = manager.worker_hooks(
             "worker", DatabaseResource(strategy=LeaseStrategy.LEASED_PER_QUERY)
         )
@@ -172,8 +165,7 @@ class TestPerQueryStrategy:
         return manager, pool, app, cleanup
 
     def test_each_statement_leases_and_returns(self, db):
-        stats = ServerStats(ManualClock())
-        manager, pool, app, cleanup = self._bound_connection(db, stats=stats)
+        manager, pool, app, cleanup = self._bound_connection(db)
         connection = app.getconn()
         assert isinstance(connection, PerQueryConnection)
         cursor = connection.cursor()
@@ -183,7 +175,7 @@ class TestPerQueryStrategy:
         assert cursor.fetchall() == [(1,), (2,), (3,)]
         connection.execute("SELECT 1")
         assert pool.total_acquires == 2  # one checkout per statement
-        assert stats.connection_utilization()["worker"]["leases"] == 2
+        assert pool.stage_report()["worker"]["leases"] == 2
         cleanup()
         assert manager.outstanding == 0
 
@@ -256,16 +248,12 @@ class TestLeaseHammer:
     POOL_SIZE = 3
 
     def test_concurrent_strategies_conserve_the_pool(self, db):
-        stats = ServerStats(ManualClock())
-        manager, pool, app = make_manager(
-            db, size=self.POOL_SIZE, stats=stats
-        )
+        manager, pool, app = make_manager(db, size=self.POOL_SIZE)
         errors = []
         barrier = threading.Barrier(self.THREADS)
 
         def pinned_style(rng):
-            lease = manager.acquire("pinned-stage", LeaseStrategy.PINNED,
-                                    timeout=10.0)
+            lease = manager.acquire("pinned-stage", timeout=10.0)
             try:
                 if rng.random() < 0.5:
                     lease.connection.execute("SELECT v FROM t")
@@ -313,7 +301,7 @@ class TestLeaseHammer:
         assert pool.in_use == 0
         assert pool.idle <= self.POOL_SIZE
         # Every lease that was granted was also returned and recorded.
-        utilization = stats.connection_utilization()
+        utilization = pool.stage_report()
         recorded = sum(entry["leases"] for entry in utilization.values())
         assert recorded == pool.completed_checkouts == pool.total_acquires
         assert pool.peak_in_use <= self.POOL_SIZE

@@ -12,7 +12,7 @@ the two ``utilization_report()`` documents agree key by key.
 import pytest
 
 from repro.db.engine import Database
-from repro.db.pool import ConnectionPool
+from repro.db.pool import UNSTAGED, ConnectionPool
 from repro.db.sql.executor import ResultSet
 from repro.sim.kernel import Simulation
 from repro.sim.resources import SimConnectionPool
@@ -48,28 +48,37 @@ class ScriptedDatabase(Database):
         return ResultSet()
 
 
-def live_report() -> dict:
+def live_pool(stages=None) -> ConnectionPool:
+    """Run SCRIPT on a live pool, checkout ``i`` labelled ``stages[i]``
+    (unlabelled when ``stages`` is None)."""
     clock = ManualClock()
     database = ScriptedDatabase(clock, demand=0.0)
     pool = ConnectionPool(database, size=1, clock=clock.now)
-    for idle_before, demand, idle_after in SCRIPT:
-        connection = pool.acquire()
+    for index, (idle_before, demand, idle_after) in enumerate(SCRIPT):
+        connection = (pool.acquire() if stages is None
+                      else pool.acquire(stage=stages[index]))
         clock.advance(idle_before)
         if demand > 0:
             database.demand = demand
             connection.execute("SELECT scripted")
         clock.advance(idle_after)
         pool.release(connection)
-    return pool.utilization_report()
+    return pool
 
 
-def sim_report() -> dict:
+def live_report() -> dict:
+    return live_pool().utilization_report()
+
+
+def sim_pool(stages=None) -> SimConnectionPool:
+    """Run SCRIPT on a simulated pool, labelled as in :func:`live_pool`."""
     sim = Simulation()
     pool = SimConnectionPool(sim, size=1)
 
     def process():
-        for idle_before, demand, idle_after in SCRIPT:
-            lease = pool.lease()
+        for index, (idle_before, demand, idle_after) in enumerate(SCRIPT):
+            lease = (pool.lease() if stages is None
+                     else pool.lease(stages[index]))
             yield lease.granted
             yield idle_before
             if demand > 0:
@@ -81,7 +90,11 @@ def sim_report() -> dict:
 
     sim.spawn(process())
     sim.run()
-    return pool.utilization_report()
+    return pool
+
+
+def sim_report() -> dict:
+    return sim_pool().utilization_report()
 
 
 class TestBusyFractionParity:
@@ -108,6 +121,40 @@ class TestBusyFractionParity:
             )
             assert report["completed_checkouts"] == len(SCRIPT)
             assert report["in_use"] == 0
+
+    def test_stage_reports_agree_and_sum_to_pool_wide(self):
+        """Labelled checkouts: both pools split the same accounting by
+        stage, and the per-stage entries add up to the pool-wide one."""
+        stages = ["generation", "render", "generation"]
+        for pool in (live_pool(stages), sim_pool(stages)):
+            report = pool.stage_report()
+            overall = pool.utilization_report()
+            assert list(report) == ["generation", "render"]
+            assert report["generation"]["leases"] == 2
+            assert report["render"]["held_seconds"] == pytest.approx(0.5)
+            assert report["render"]["busy_seconds"] == 0.0
+            assert report["render"]["busy_fraction"] == 0.0
+            assert sum(entry["leases"] for entry in report.values()) \
+                == overall["acquires"]
+            for key in ("held_seconds", "busy_seconds"):
+                assert sum(entry[key] for entry in report.values()) \
+                    == pytest.approx(overall[key]), key
+        live = live_pool(stages).stage_report()
+        simulated = sim_pool(stages).stage_report()
+        for stage in live:
+            for key in ("held_seconds", "busy_seconds", "busy_fraction"):
+                assert live[stage][key] == pytest.approx(
+                    simulated[stage][key]), (stage, key)
+            assert live[stage]["acquire_wait"]["count"] \
+                == simulated[stage]["acquire_wait"]["count"]
+
+    def test_unlabelled_checkouts_share_one_stage(self):
+        for pool in (live_pool(), sim_pool()):
+            report = pool.stage_report()
+            assert list(report) == [UNSTAGED]
+            assert report[UNSTAGED]["leases"] == len(SCRIPT)
+            assert report[UNSTAGED]["held_seconds"] == pytest.approx(
+                TOTAL_HELD)
 
     def test_sim_pool_meters_contention_waits(self):
         """Two processes on a size-1 pool: the second's wait is the

@@ -18,6 +18,7 @@ import json
 import pytest
 
 from repro.harness.chaos import ChaosConfig, default_resilience, default_rules
+from repro.harness.export import resilience_document
 from repro.sim.workload import run_tpcw_simulation
 from tests.sim.test_workload_server import fast_profiles, tiny_config
 
@@ -60,7 +61,7 @@ def results_digest(server, queue_keys):
         "connection_report": server.connection_pool.utilization_report(),
         "fault_report": server.policies.plan.fault_report() if chaos
         else None,
-        "resilience_report": stats.resilience_report() if chaos else None,
+        "resilience_report": resilience_document(server) if chaos else None,
     }
     encoded = json.dumps(document, sort_keys=True, default=repr)
     return hashlib.sha256(encoded.encode()).hexdigest()

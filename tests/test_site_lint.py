@@ -6,6 +6,7 @@
   socket gates.
 - ``stats``: one ``ServerStats`` per server, built only by the live
   pipeline server and the simulated server.
+- ``ledger``: meters built only by the ledgers that own their facts.
 - ``sleep``: chaos tests run on scripted clocks, never ``time.sleep``.
 """
 
@@ -95,6 +96,28 @@ CASES = {
          "from repro.server.stats import ServerStats\n"},
         [(os.path.join("repro", "faults", "policies.py"), 2, "ServerStats(")],
     ),
+    "ledger-second-checkout-ledger": (
+        "ledger",
+        {os.path.join("repro", "harness", "export.py"):
+         "ledger = CheckoutLedger(4)\n"},
+        [(os.path.join("repro", "harness", "export.py"), 1,
+          "CheckoutLedger(")],
+    ),
+    "ledger-second-meter": (
+        "ledger",
+        {os.path.join(SERVER, "resources.py"):
+         "def f(stage):\n    return SummaryAccumulator(stage)\n",
+         os.path.join(SERVER, "stats.py"): "w = SummaryAccumulator(page)\n",
+         os.path.join("repro", "db", "pool.py"):
+         "self.ledger = CheckoutLedger(size)\n",
+         os.path.join("repro", "sim", "resources.py"):
+         "self.ledger = CheckoutLedger(size)\n",
+         os.path.join("repro", "util", "timeseries.py"):
+         "class SummaryAccumulator(WelfordAccumulator):\n",
+         os.path.join("repro", "sim", "server.py"):
+         "from repro.db.pool import CheckoutLedger\n"},
+        [(os.path.join(SERVER, "resources.py"), 2, "SummaryAccumulator(")],
+    ),
     "sleep-time-sleep-call": (
         "sleep",
         {"test_rogue.py": "import time\n\ndef test_x():\n    time.sleep(0.5)\n"},
@@ -124,6 +147,7 @@ SEEDED = {
     "acquire": "conn = pool.acquire()\n",
     "decide": "decision = plan.decide(SITE_WORKER)\n",
     "stats": "stats = ServerStats(clock)\n",
+    "ledger": "waits = SummaryAccumulator(\"acquire-wait\")\n",
     "sleep": "import time\ntime.sleep(2)\n",
 }
 

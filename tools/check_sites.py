@@ -32,9 +32,19 @@ allow-list:
 ``stats``
     ``ServerStats(`` only in ``server/pipeline.py`` and
     ``sim/server.py``.  One metrics sink per server, live or simulated:
-    everything else (the lease manager, the resilience policies, the
-    harness) records into or reads the server's own ``stats``, so a
-    second sink kept in step by hand cannot creep back.
+    the pipeline and the resilience policies record into the server's
+    own ``stats``, and the harness reads it, so a second sink kept in
+    step by hand cannot creep back.  Checkouts, fault injections and
+    breaker transitions are not in it: the pool's ledger, the fault
+    plan and the breaker count those themselves.
+``ledger``
+    ``SummaryAccumulator(`` and ``CheckoutLedger(`` only in
+    ``util/timeseries.py``, ``server/stats.py``, ``db/pool.py`` and
+    ``sim/resources.py``.  Each fact has one ledger, kept by the
+    component that owns it: request and stage timings by
+    ``ServerStats``, connection checkouts by the pool's
+    ``CheckoutLedger``.  A meter built anywhere else is a second count
+    of one of those facts, free to disagree with the first.
 ``sleep``
     No ``time.sleep`` (nor ``sleep`` imported from ``time``) in
     ``tests/chaos``.  Chaos scenarios run on a ``ManualClock`` or the
@@ -134,6 +144,24 @@ RULES: Dict[str, Rule] = {
                  "sim/server.py (record into the server's own stats):"),
         clean=("stats-site check: clean "
                "(one ServerStats per live or simulated server)"),
+    ),
+    "ledger": Rule(
+        root="src",
+        patterns=(re.compile(r"\b(?:SummaryAccumulator|CheckoutLedger)\s*\("),),
+        allowed=frozenset({
+            # The accumulator itself.
+            os.path.join("repro", "util", "timeseries.py"),
+            # Request, interaction and stage-timing summaries.
+            os.path.join("repro", "server", "stats.py"),
+            # The checkout ledger, pool-wide and per stage.
+            os.path.join("repro", "db", "pool.py"),
+            # The simulated pool's copy of the same ledger.
+            os.path.join("repro", "sim", "resources.py"),
+        }),
+        failure=("SummaryAccumulator or CheckoutLedger built outside the "
+                 "owning ledgers (read the owner's count instead):"),
+        clean=("ledger-site check: clean "
+               "(each fact is metered once, by its owner)"),
     ),
     "sleep": Rule(
         root=os.path.join("tests", "chaos"),
